@@ -218,21 +218,8 @@ type domain = Synthetic | Reachable
 
 type law = { law_holds : bool; law_domain : domain; law_checks : int }
 
-let pow b e =
-  let r = ref 1 in
-  for _ = 1 to e do
-    r := !r * b
-  done;
-  !r
-
-let decode_tuple ~size ~arity idx =
-  let t = Array.make arity 0 in
-  let rest = ref idx in
-  for i = 0 to arity - 1 do
-    t.(i) <- !rest mod size;
-    rest := !rest / size
-  done;
-  t
+let pow = Refmodel.pow
+let decode_tuple = Refmodel.decode_tuple
 
 type mc_result = {
   mc_checks : int;
@@ -424,28 +411,32 @@ let run_reachable states ~arities ~pre ~check =
 
 (* --- the properties --------------------------------------------------------- *)
 
-let step_t = Runner.step ~backend:`Tuple
+(* The reference side of every law is the tuple-backend step, memoized
+   in the run's [Refmodel] table; the bulk cross-check still runs the
+   real evaluator on its cadence. *)
 let step_b = Runner.step ~backend:`Bulk
 
-let commute_check p o1 o2 =
+let commute_check rm p o1 o2 =
   let count = ref 0 in
   fun st argss ->
     match argss with
     | [ a1; a2 ] ->
         incr count;
         let r1 = request_of o1 a1 and r2 = request_of o2 a2 in
-        let s0 = Runner.restore p st in
-        let s12 = step_t (step_t s0 r1) r2 in
-        let s21 = step_t (step_t s0 r2) r1 in
-        Structure.equal (Runner.structure s12) (Runner.structure s21)
+        let step = Refmodel.step rm in
+        let s0 = Refmodel.start rm st in
+        let s12 = step (step s0 r1) r2 in
+        let s21 = step (step s0 r2) r1 in
+        Refmodel.equal s12 s21
         && (* cross-check the bulk evaluator on a cadence — same
               semantics, different code path *)
         (!count land 7 <> 0
         ||
-        let b12 = step_b (step_b s0 r1) r2 in
-        let b21 = step_b (step_b s0 r2) r1 in
+        let b0 = Runner.restore p st in
+        let b12 = step_b (step_b b0 r1) r2 in
+        let b21 = step_b (step_b b0 r2) r1 in
         Structure.equal (Runner.structure b12) (Runner.structure b21)
-        && Structure.equal (Runner.structure b12) (Runner.structure s12))
+        && Refmodel.matches s12 (Runner.structure b12))
     | _ -> assert false
 
 (* the side condition: arguments must differ when both requests address
@@ -455,13 +446,13 @@ let commute_pre o1 o2 _st argss =
   | [ a1; a2 ] -> addr o1 <> addr o2 || a1 <> a2
   | _ -> assert false
 
-let idempotent_check p o st argss =
+let idempotent_check rm o st argss =
   match argss with
   | [ a ] ->
       let r = request_of o a in
-      let s1 = step_t (Runner.restore p st) r in
-      let s2 = step_t s1 r in
-      Structure.equal (Runner.structure s1) (Runner.structure s2)
+      let s1 = Refmodel.step rm (Refmodel.start rm st) r in
+      let s2 = Refmodel.step rm s1 r in
+      Refmodel.equal s1 s2
   | _ -> assert false
 
 (* a request that does not change the input: the op's block must be the
@@ -475,11 +466,11 @@ let nop_pre o st argss =
       | `Set -> Structure.const st o.op_rel = List.hd a)
   | _ -> assert false
 
-let nop_check p o st argss =
+let nop_check rm o st argss =
   match argss with
   | [ a ] ->
-      let s1 = step_t (Runner.restore p st) (request_of o a) in
-      Structure.equal st (Runner.structure s1)
+      let s0 = Refmodel.start rm st in
+      Refmodel.equal s0 (Refmodel.step rm s0 (request_of o a))
   | _ -> assert false
 
 (* --- verdicts --------------------------------------------------------------- *)
@@ -545,6 +536,7 @@ let analyze ?(max_size = 4) ?(budget = 20_000) ?(samples = 48)
     (p : Program.t) =
   let ops = ops_of p in
   let states = lazy (reachable_states ~max_size p) in
+  let rm = Refmodel.create ~max_size p in
   let rw = List.map (fun o -> (o, (writes_of p o, reads_of p o))) ops in
   let law_of ~arities ~pre ~check =
     let _, _, law =
@@ -563,10 +555,10 @@ let analyze ?(max_size = 4) ?(budget = 20_000) ?(samples = 48)
           or_idempotent =
             law_of ~arities:[ o.op_arity ]
               ~pre:(fun _ _ -> true)
-              ~check:(idempotent_check p o);
+              ~check:(idempotent_check rm o);
           or_nop =
             law_of ~arities:[ o.op_arity ] ~pre:(nop_pre o)
-              ~check:(nop_check p o);
+              ~check:(nop_check rm o);
         })
       ops
   in
@@ -597,7 +589,7 @@ let analyze ?(max_size = 4) ?(budget = 20_000) ?(samples = 48)
           verify_law ~max_size ~budget ~samples p states
             ~arities:[ o1.op_arity; o2.op_arity ]
             ~pre:(commute_pre o1 o2)
-            ~check:(commute_check p o1 o2)
+            ~check:(commute_check rm p o1 o2)
         in
         let static_reason =
           match source with

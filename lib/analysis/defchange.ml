@@ -98,21 +98,8 @@ type law = Commute.law = {
   law_checks : int;
 }
 
-let pow b e =
-  let r = ref 1 in
-  for _ = 1 to e do
-    r := !r * b
-  done;
-  !r
-
-let decode_tuple ~size ~arity idx =
-  let t = Array.make arity 0 in
-  let rest = ref idx in
-  for i = 0 to arity - 1 do
-    t.(i) <- !rest mod size;
-    rest := !rest / size
-  done;
-  t
+let pow = Refmodel.pow
+let decode_tuple = Refmodel.decode_tuple
 
 type mc_result = {
   mc_checks : int;
@@ -357,22 +344,23 @@ let verify_law ~max_size ~budget ~samples p states ~op_arity ~check =
 (* --- the laws --------------------------------------------------------------- *)
 
 (* Reference semantics for every law: the singleton-sequence fold on
-   the tuple backend. *)
-let fold_ref p reqs st = Runner.run ~backend:`Tuple (Runner.restore p st) reqs
+   the tuple backend, memoized in the run's [Refmodel] table. Each law
+   compares its exploited code path's output against it. *)
+let fold_ref rm reqs st = Refmodel.fold rm (Refmodel.start rm st) reqs
 
 (* Absorb law: the exploited code path [Runner.absorb_group] equals the
    fold, on every state and batch. On a cadence, the whole
    [step_batch] pipeline with the verdict forced — expansion, planning
    and dispatch included — is cross-checked too, so the licensed path
    and the checked path cannot drift apart. *)
-let absorb_check p o =
+let absorb_check rm p o =
   let count = ref 0 in
   fun st argss ->
     incr count;
     let reqs = List.map (request_of o) argss in
-    let fold_s = fold_ref p reqs st in
+    let fold_s = fold_ref rm reqs st in
     let abs_s = Runner.absorb_group (Runner.restore p st) reqs in
-    Structure.equal (Runner.structure fold_s) (Runner.structure abs_s)
+    Refmodel.matches fold_s (Runner.structure abs_s)
     && (!count land 7 <> 0
        ||
        let full =
@@ -380,7 +368,7 @@ let absorb_check p o =
            ~defchange:(fun _ _ -> `Absorb)
            (Runner.restore p st) reqs
        in
-       Structure.equal (Runner.structure fold_s) (Runner.structure full))
+       Refmodel.matches fold_s (Runner.structure full))
 
 (* Stream law: the delta backend folding the group under one batch
    scope (one mask clear, unioned frontiers) equals the fold. Sound
@@ -388,18 +376,18 @@ let absorb_check p o =
    body — but checked anyway so an implementation regression is caught
    here, not in serving. Cadence cross-check on the bulk backend
    (where [`Stream] degenerates to the plain fold). *)
-let stream_check p o =
+let stream_check rm p o =
   let count = ref 0 in
   fun st argss ->
     incr count;
     let reqs = List.map (request_of o) argss in
-    let fold_s = fold_ref p reqs st in
+    let fold_s = fold_ref rm reqs st in
     let str_s =
       Runner.step_batch ~backend:`Delta ~oracle:Runner.null_oracle
         ~defchange:(fun _ _ -> `Stream)
         (Runner.restore p st) reqs
     in
-    Structure.equal (Runner.structure fold_s) (Runner.structure str_s)
+    Refmodel.matches fold_s (Runner.structure str_s)
     && (!count land 3 <> 0
        ||
        let bulk_s =
@@ -407,7 +395,7 @@ let stream_check p o =
            ~defchange:(fun _ _ -> `Stream)
            (Runner.restore p st) reqs
        in
-       Structure.equal (Runner.structure fold_s) (Runner.structure bulk_s))
+       Refmodel.matches fold_s (Runner.structure bulk_s))
 
 (* FO-definable set-change law: the [insdef]/[deldef] request whose
    formula denotes exactly the member tuples equals the explicit
@@ -420,7 +408,7 @@ let fresh_vars (p : Program.t) k =
       let rec free n = if Vocab.mem_const vocab n then free (n ^ "x") else n in
       free (Printf.sprintf "x%d" i))
 
-let def_check p (o : Commute.op) =
+let def_check rm p (o : Commute.op) =
   let vars = fresh_vars p o.op_arity in
   let count = ref 0 in
   fun st argss ->
@@ -446,7 +434,7 @@ let def_check p (o : Commute.op) =
     let expected =
       List.filter keep (List.sort_uniq Tuple.compare tuples) |> List.map mk
     in
-    let fold_s = fold_ref p expected st in
+    let fold_s = fold_ref rm expected st in
     let backend = if !count land 3 = 0 then `Delta else `Tuple in
     (* [`Fold] forced: this law checks the expansion semantics itself
        (and must not re-enter the installed oracle mid-analysis) *)
@@ -455,7 +443,7 @@ let def_check p (o : Commute.op) =
         ~defchange:(fun _ _ -> `Fold)
         (Runner.restore p st) [ req ]
     in
-    Structure.equal (Runner.structure fold_s) (Runner.structure def_s)
+    Refmodel.matches fold_s (Runner.structure def_s)
 
 (* --- verdicts --------------------------------------------------------------- *)
 
@@ -501,20 +489,21 @@ let analyze ?(max_size = 4) ?(budget = 20_000) ?(samples = 48)
     (p : Program.t) =
   let states = lazy (reachable_states ~max_size p) in
   let verify = verify_law ~max_size ~budget ~samples p states in
+  let rm = Refmodel.create ~max_size p in
   let trivial = { law_holds = true; law_domain = Synthetic; law_checks = 0 } in
   let no_mc = { mc_checks = 0; mc_exhaustive_upto = 0; mc_cex = None } in
   let cell_of (o : Commute.op) =
     let source, static_reason = static_evidence p o in
     let dom_a, mc_a, law_a =
-      verify ~op_arity:o.op_arity ~check:(absorb_check p o)
+      verify ~op_arity:o.op_arity ~check:(absorb_check rm p o)
     in
     let dom_s, mc_s, law_s =
-      verify ~op_arity:o.op_arity ~check:(stream_check p o)
+      verify ~op_arity:o.op_arity ~check:(stream_check rm p o)
     in
     let dom_d, mc_d, law_d =
       match o.op_kind with
       | `Set -> (None, no_mc, trivial)
-      | `Ins | `Del -> verify ~op_arity:o.op_arity ~check:(def_check p o)
+      | `Ins | `Del -> verify ~op_arity:o.op_arity ~check:(def_check rm p o)
     in
     let def_ok = law_d.law_holds in
     let checks = mc_a.mc_checks + mc_s.mc_checks + mc_d.mc_checks in

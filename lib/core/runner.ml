@@ -641,12 +641,11 @@ let restore (p : Program.t) st =
   (* the snapshot must expose the whole combined vocabulary, exactly as
      [init]'s output does *)
   ignore (Structure.restrict st (Program.vocab p));
-  (* restoring over a live process (the serving daemon's [restore]
-     command) abandons whatever history the delta evaluator's persistent
-     frontier state was tracking; reuse would be sound (state is
-     validated per step), but a restore is a lifecycle boundary — drop
-     the warm caches so they rebuild against the restored world *)
-  Delta_eval.invalidate ();
+  (* the delta evaluator's process-wide frontier state is left alone:
+     reuse is sound (state is validated per step), and the model
+     checkers restore ~10^5 times per program, which must not flush
+     every live session's warm caches. The serving daemon's [restore]
+     verb is the lifecycle boundary that drops them. *)
   { program = p; structure = st; muddle = None }
 
 (* Queries have no frame (there is no previous value of a sentence to be

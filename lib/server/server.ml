@@ -194,6 +194,10 @@ let dispatch t (cmd : Wire.cmd) : (string * Json.t) list =
       let loaded = Snapshot.load ~path in
       let p = find_program t loaded.Snapshot.snap_program in
       let inner = Runner.restore p loaded.Snapshot.snap_structure in
+      (* a restore onto a live process is a lifecycle boundary: drop the
+         delta evaluator's warm frontier state so it rebuilds against
+         the restored world *)
+      Dynfo_logic.Delta_eval.invalidate ();
       let steps = loaded.Snapshot.snap_steps in
       create_session t ~session ~engine (fun ?pool id ->
           Session.of_state ~id ~name:loaded.Snapshot.snap_program ?pool

@@ -320,17 +320,16 @@ let make ~id ~name ?pool ~backend ~coalesce (p : Program.t) runner_of =
   let engine, runner = runner_of ~resolved pool in
   (* warm the oracles (and their model-checked matrices) before
      serving: the analyses run once per program, not under the first
-     client's call. Any op hits the whole Defchange matrix. *)
-  (match coalesce with
-  | `Commute -> (
-      ignore (Runner.commute_oracle p);
-      match Vocab.relations p.input_vocab with
-      | (s : Vocab.sym) :: _ -> ignore (Runner.defchange_verdict p `Ins s.name)
-      | [] -> (
-          match Vocab.constants p.input_vocab with
-          | c :: _ -> ignore (Runner.defchange_verdict p `Set c)
-          | [] -> ()))
-  | `Fifo -> ());
+     client's call. [`Fifo] ticks pass the null commute oracle but still
+     dispatch on the installed Defchange oracle, so both modes warm it;
+     any op hits the whole Defchange matrix. *)
+  if coalesce = `Commute then ignore (Runner.commute_oracle p);
+  (match Vocab.relations p.input_vocab with
+  | (s : Vocab.sym) :: _ -> ignore (Runner.defchange_verdict p `Ins s.name)
+  | [] -> (
+      match Vocab.constants p.input_vocab with
+      | c :: _ -> ignore (Runner.defchange_verdict p `Set c)
+      | [] -> ()));
   spawn
     {
       id;

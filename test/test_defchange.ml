@@ -18,6 +18,8 @@ module Advisor = Dynfo_analysis.Advisor
 module Commute = Dynfo_analysis.Commute
 module Pool = Dynfo_engine.Pool
 module Par_runner = Dynfo_engine.Par_runner
+module Refmodel = Dynfo_analysis.Refmodel
+module Session = Dynfo_server.Session
 
 let () =
   Advisor.install ();
@@ -240,6 +242,208 @@ let par_batch_qcheck =
               && Runner.query ~backend:`Delta want = Par_runner.query got))
         [ 1; 4 ])
 
+(* --- the memoized reference model ---------------------------------------- *)
+
+let pow b e = List.fold_left (fun acc _ -> acc * b) 1 (List.init e Fun.id)
+let tuple_of ~size ~arity i = Array.init arity (fun j -> i / pow size j mod size)
+let sizes = [ 1; 2; 3; 4 ]
+
+(* An arbitrary structure over the program's combined vocabulary — the
+   model checkers' synthetic domain, arity-0 relations included. *)
+let random_structure rng (p : Program.t) ~size =
+  let vocab = Program.vocab p in
+  let fill st (s : Vocab.sym) =
+    let density = [| 0.15; 0.5; 0.85 |].(Random.State.int rng 3) in
+    List.fold_left
+      (fun st i ->
+        if Random.State.float rng 1.0 < density then
+          Structure.add_tuple st s.name (tuple_of ~size ~arity:s.arity i)
+        else st)
+      st
+      (List.init (pow size s.arity) Fun.id)
+  in
+  List.fold_left
+    (fun st c -> Structure.with_const st c (Random.State.int rng size))
+    (List.fold_left fill (Structure.create ~size vocab) (Vocab.relations vocab))
+    (Vocab.constants vocab)
+
+(* Singleton requests drawn from a pool of three, so a sequence
+   revisits states (ins a; del a; ins a ...) and the table hits. *)
+let random_requests rng (p : Program.t) ~size ~length =
+  let pick xs = List.nth xs (Random.State.int rng (List.length xs)) in
+  let args arity =
+    Array.to_list
+      (tuple_of ~size ~arity (Random.State.int rng (pow size arity)))
+  in
+  let ops =
+    List.concat_map
+      (fun (s : Vocab.sym) ->
+        [
+          (fun () -> Request.ins s.name (args s.arity));
+          (fun () -> Request.del s.name (args s.arity));
+        ])
+      (Vocab.relations p.input_vocab)
+    @ List.map
+        (fun c () -> Request.set c (Random.State.int rng size))
+        (Vocab.constants p.input_vocab)
+  in
+  let pool = List.init 3 (fun _ -> (pick ops) ()) in
+  List.init length (fun _ -> pick pool)
+
+let refmodel_roundtrip =
+  QCheck.Test.make
+    ~name:"reference model: decode (encode st) = st, whole registry, n=1..4"
+    ~count:20 (QCheck.int_range 1 100_000) (fun seed ->
+      let rng = Random.State.make [| 0x7AB; seed |] in
+      List.for_all
+        (fun name ->
+          let p = find name in
+          let rm = Refmodel.create ~max_size:4 p in
+          List.for_all
+            (fun size ->
+              let st = random_structure rng p ~size in
+              let s = Refmodel.start rm st in
+              (not (Refmodel.coded s))
+              || Structure.equal (Refmodel.structure s) st
+                 && Refmodel.matches s st)
+            sizes)
+        qprogs)
+
+(* The memoized fold agrees with [Runner.step ~backend:`Tuple] after
+   every request — twice over the same table, so the second pass is
+   served from hits — at every size through one table, as an analysis
+   run uses it. With [slots] tiny every store overwrites and keys
+   collide constantly. *)
+let refmodel_fold ?slots label =
+  QCheck.Test.make
+    ~name:("reference model: memoized fold == tuple run, " ^ label)
+    ~count:100
+    QCheck.(pair (int_range 1 100_000) (oneofl qprogs))
+    (fun (seed, name) ->
+      let p = find name in
+      let rng = Random.State.make [| 0xF01D; seed |] in
+      let rm = Refmodel.create ?slots ~max_size:4 p in
+      let agrees size =
+        let st = random_structure rng p ~size in
+        let reqs = random_requests rng p ~size ~length:12 in
+        let pass () =
+          let _, _, ok =
+            List.fold_left
+              (fun (want, got, ok) r ->
+                let want = Runner.step ~backend:`Tuple want r in
+                let got = Refmodel.step rm got r in
+                let w = Runner.structure want in
+                ( want,
+                  got,
+                  ok
+                  && Structure.equal (Refmodel.structure got) w
+                  && Refmodel.matches got w ))
+              (Runner.restore p st, Refmodel.start rm st, true)
+              reqs
+          in
+          ok
+        in
+        let want = Runner.run ~backend:`Tuple (Runner.restore p st) reqs in
+        pass () && pass ()
+        && Refmodel.equal
+             (Refmodel.fold rm (Refmodel.start rm st) reqs)
+             (Refmodel.start rm (Runner.structure want))
+      in
+      List.for_all agrees (sizes @ sizes))
+
+let test_refmodel_coding () =
+  let parity = find "parity" in
+  let rm = Refmodel.create ~max_size:4 parity in
+  List.iter
+    (fun size ->
+      let st = Runner.structure (Runner.init parity ~size) in
+      let flipped =
+        if Structure.mem st "b" [||] then Structure.del_tuple st "b" [||]
+        else Structure.add_tuple st "b" [||]
+      in
+      let a = Refmodel.start rm st and b = Refmodel.start rm flipped in
+      let at what = Printf.sprintf "parity n=%d: %s" size what in
+      check tb (at "coded") true (Refmodel.coded a && Refmodel.coded b);
+      (* the arity-0 relation owns a bit of its own *)
+      check tb (at "b() distinguishes codes") false (Refmodel.equal a b);
+      check tb (at "matches sees the flip") false (Refmodel.matches a flipped);
+      (* a structure without the exact vocabulary stays plain, and is
+         still compared by Structure.equal *)
+      let input = Structure.restrict st parity.Program.input_vocab in
+      check tb (at "partial vocabulary is not coded") false
+        (Refmodel.coded (Refmodel.start rm input));
+      check tb (at "partial vocabulary never matches") false
+        (Refmodel.matches a input))
+    sizes;
+  let matching = find "matching" in
+  let rm = Refmodel.create ~max_size:4 matching in
+  List.iter
+    (fun size ->
+      let st = Runner.structure (Runner.init matching ~size) in
+      check tb
+        (Printf.sprintf "matching n=%d is coded" size)
+        true
+        (Refmodel.coded (Refmodel.start rm st)))
+    sizes;
+  (* beyond the table's sizes: plain structures, direct steps *)
+  let big = Runner.structure (Runner.init parity ~size:5) in
+  check tb "sizes past max_size are not coded" false
+    (Refmodel.coded (Refmodel.start (Refmodel.create ~max_size:4 parity) big))
+
+(* --- analysis next to live sessions ------------------------------------- *)
+
+(* A cold analysis restores ~10^5 synthetic states; none of that may
+   flush a live delta runner's warm frontier state. *)
+let test_analysis_keeps_live_caches () =
+  (* start from an empty cache so the state-count limit cannot fire *)
+  Delta_eval.invalidate ();
+  let e = Registry.find "reach_u" in
+  let size = 6 in
+  let rng = Random.State.make [| 17 |] in
+  let reqs = e.Registry.workload rng ~size ~length:24 in
+  let live =
+    Runner.run ~backend:`Delta (Runner.init e.Registry.program ~size) reqs
+  in
+  let replay () =
+    let m0 = Delta_eval.memo_misses () in
+    ignore (Runner.run ~backend:`Delta live reqs);
+    Delta_eval.memo_misses () - m0
+  in
+  check Alcotest.int "warm replay compiles nothing" 0 (replay ());
+  ignore (D.analyze (find "parity"));
+  check Alcotest.int "still warm after another program's analysis" 0
+    (replay ())
+
+(* A FIFO session on a program nobody analyzed yet: its ticks consult
+   the installed Defchange oracle, so [create] must warm it — the first
+   tick then meters exactly what a later session's first tick does. *)
+let test_fifo_first_tick_warm () =
+  let p = find "parity" in
+  (* a fresh program value: no cached matrix *)
+  let cold = { p with Program.name = p.Program.name } in
+  let size = 8 in
+  let reqs =
+    Request.
+      [ ins "M" [ 0 ]; ins "M" [ 3 ]; del "M" [ 0 ]; ins "M" [ 5 ] ]
+  in
+  let first_tick id =
+    let s =
+      Session.create ~id ~name:"parity" ~backend:`Tuple ~coalesce:`Fifo cold
+        ~size
+    in
+    let _, w = Session.update s reqs in
+    Session.close s;
+    w
+  in
+  let w1 = first_tick "cold" in
+  let w2 = first_tick "warm" in
+  check Alcotest.int "cold first tick == warm first tick" w2 w1;
+  let _, offline, _ =
+    Runner.step_batch_full ~backend:`Tuple ~oracle:Runner.null_oracle
+      (Runner.init cold ~size) reqs
+  in
+  check Alcotest.int "== the offline tick" offline w1
+
 let () =
   Alcotest.run "defchange"
     [
@@ -257,5 +461,20 @@ let () =
         [
           QCheck_alcotest.to_alcotest batch_qcheck;
           QCheck_alcotest.to_alcotest par_batch_qcheck;
+        ] );
+      ( "model",
+        [
+          Alcotest.test_case "coding" `Quick test_refmodel_coding;
+          QCheck_alcotest.to_alcotest refmodel_roundtrip;
+          QCheck_alcotest.to_alcotest (refmodel_fold "4096 slots");
+          QCheck_alcotest.to_alcotest
+            (refmodel_fold ~slots:2 "2 slots, colliding");
+        ] );
+      ( "serve",
+        [
+          Alcotest.test_case "analysis keeps live delta caches" `Quick
+            test_analysis_keeps_live_caches;
+          Alcotest.test_case "fifo first tick is warm" `Quick
+            test_fifo_first_tick_warm;
         ] );
     ]

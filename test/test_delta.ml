@@ -608,9 +608,9 @@ let test_registry_cutoff_resync () =
 
 (* Lifecycle boundaries drop the warm caches: planner (re-)installation —
    which is how program re-registration and advisor-driven backend
-   reconfiguration reach the evaluator — and snapshot restore onto a
-   live process. After the drop, two runners sharing the process-wide
-   cache continue in lockstep. *)
+   reconfiguration reach the evaluator — and the daemon's snapshot
+   restore onto a live process. After the drop, two runners sharing the
+   process-wide cache continue in lockstep. *)
 let test_invalidation_drops_state () =
   Dynfo_analysis.Advisor.install ();
   let e = Registry.find "reach_u" in
@@ -629,7 +629,14 @@ let test_invalidation_drops_state () =
   let s = Runner.run ~backend:`Delta s warm in
   check tb "cache warmed again" true (Delta_eval.cached_states () > 0);
   let restored = Runner.restore e.program (Runner.structure s) in
-  check ti "restore drops cached states" 0 (Delta_eval.cached_states ());
+  (* [Runner.restore] itself keeps the process-wide state (the model
+     checkers restore constantly); the daemon's restore verb is the
+     lifecycle boundary and drops it explicitly *)
+  check tb "Runner.restore keeps cached states" true
+    (Delta_eval.cached_states () > 0);
+  Delta_eval.invalidate ();
+  check ti "the restore verb's invalidation drops them" 0
+    (Delta_eval.cached_states ());
   let sa = ref s and sb = ref restored in
   List.iter
     (fun r ->
