@@ -510,7 +510,7 @@ let () =
 
   (* E23: the serving daemon — updates/sec and latency percentiles
      through the full wire path (JSON protocol over a Unix socket,
-     per-session worker thread, batch = one evaluation tick), across
+     per-session FIFO drain, batch = one evaluation tick), across
      all four backends and batch sizes 1/16/256. The batch column is
      where the serving layer's amortisation shows: one validation pass,
      one [`Auto] resolution and one round of delta tester rebinds per
@@ -1157,7 +1157,7 @@ let () =
      baseline. Workloads get seeded back-to-back duplicates injected
      (~25%) to model retry/at-least-once submitters, and a second
      connection issues program queries throughout (each answered
-     individually, exercising the worker's hoist bookkeeping). Every
+     individually, exercising the drain's hoist bookkeeping). Every
      run's final answer is cross-checked against an offline sequential
      replay of the same duplicate-injected request list. 1-core caveat:
      client, query thread and server worker share the core, so absolute

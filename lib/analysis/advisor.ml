@@ -252,21 +252,8 @@ let of_program ?(par_cutoff = default_par_cutoff) ?size
    default-parameter advice by physical program identity, bounded like
    Support.plan's cache; the parameterised [of_program] itself stays
    uncached (size-dependent advice is a per-call question). *)
-let advice_cache : (Program.t * advice) list ref = ref []
-let advice_cache_limit = 64
-
-let of_program_default p =
-  match List.find_opt (fun (q, _) -> q == p) !advice_cache with
-  | Some (_, a) -> a
-  | None ->
-      let a = of_program p in
-      let trimmed =
-        if List.length !advice_cache >= advice_cache_limit then
-          List.filteri (fun i _ -> i < advice_cache_limit - 1) !advice_cache
-        else !advice_cache
-      in
-      advice_cache := (p, a) :: trimmed;
-      a
+let advice_memo = Memo.create ~limit:64 (fun p -> of_program p)
+let of_program_default p = Memo.find advice_memo p
 
 let choose p = (of_program_default p).backend
 let fallback_of p = (of_program_default p).fallback

@@ -651,23 +651,8 @@ let op_report m o =
 
 (* --- memoized analysis ------------------------------------------------------ *)
 
-let cache_limit = 32
-let cache : (Program.t * matrix) list ref = ref []
-let cache_lock = Mutex.create ()
-
-let matrix_of (p : Program.t) =
-  Mutex.protect cache_lock (fun () ->
-      match List.find_opt (fun (q, _) -> q == p) !cache with
-      | Some (_, m) -> m
-      | None ->
-          let m = analyze p in
-          let rest =
-            if List.length !cache >= cache_limit then
-              List.filteri (fun i _ -> i < cache_limit - 1) !cache
-            else !cache
-          in
-          cache := (p, m) :: rest;
-          m)
+let memo = Memo.create ~limit:32 (fun p -> analyze p)
+let matrix_of p = Memo.find memo p
 
 (* --- the runner oracle ------------------------------------------------------ *)
 

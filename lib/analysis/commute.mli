@@ -39,8 +39,8 @@
       tagged as such ({!cell.c_domain}).
 
     Anything unconfirmed degrades to {!Unknown}; every consumer
-    ({!Dynfo.Runner.step_batch}'s planner, the session worker's
-    coalescer) treats [Unknown] exactly like [Conflict], so the
+    ({!Dynfo.Runner.step_batch}'s planner, the session
+    drain's coalescer) treats [Unknown] exactly like [Conflict], so the
     analysis failing closed can never change served answers.
 
     Per-op laws are verified the same way: {e idempotence} ([r; r ≡ r],
@@ -119,7 +119,8 @@ val analyze :
 
 val matrix_of : Program.t -> matrix
 (** {!analyze} with defaults, memoized per program by physical identity
-    (thread-safe — the serving layer warms it at session creation). *)
+    ({!Memo}: thread-safe, and a cold analysis blocks no lookup of
+    another program — the serving layer warms it at session creation). *)
 
 val verdict : matrix -> op -> op -> verdict
 (** The (symmetric) cell verdict; {!Unknown} for ops outside the

@@ -77,8 +77,9 @@ val analyze :
     sampling is seeded. *)
 
 val matrix_of : Program.t -> matrix
-(** Memoized {!analyze} with defaults (keyed on physical program
-    identity, bounded cache) — what {!oracle_of} consults per batch. *)
+(** Memoized {!analyze} with defaults (a {!Memo}: keyed on physical
+    program identity, bounded, no lock held across another program's
+    analysis) — what {!oracle_of} consults per batch. *)
 
 val find_cell :
   matrix -> [ `Ins | `Del | `Set ] -> string -> cell option

@@ -14,9 +14,11 @@ type t = {
   bound : Unix.sockaddr;
   lock : Mutex.t;
   sessions : (string, Session.t) Hashtbl.t;
+  mutable reserved : string list;  (* ids of sessions being built *)
   mutable next_id : int;
   mutable pool : Dynfo_engine.Pool.t option;  (* lazily, on first par session *)
   mutable stopping : bool;
+  mutable sock_closed : bool;
 }
 
 (* --- lifecycle ------------------------------------------------------------- *)
@@ -42,9 +44,11 @@ let start config =
     bound = Unix.getsockname sock;
     lock = Mutex.create ();
     sessions = Hashtbl.create 16;
+    reserved = [];
     next_id = 0;
     pool = None;
     stopping = false;
+    sock_closed = false;
   }
 
 let port t =
@@ -77,7 +81,12 @@ let stop t =
          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
          (fun () -> Unix.connect fd target)
      with Unix.Unix_error _ -> ());
-    try Unix.shutdown t.sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+    (* under [t.lock], and only while the accept loop has not closed the
+       socket: once closed, its fd number may already belong to another
+       socket (a later server's listener, say) *)
+    Mutex.protect t.lock (fun () ->
+        if not t.sock_closed then
+          try Unix.shutdown t.sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
   end
 
 let pool_for t =
@@ -91,28 +100,47 @@ let pool_for t =
 
 (* --- session table --------------------------------------------------------- *)
 
+(* both with [t.lock] held *)
+let taken t id = Hashtbl.mem t.sessions id || List.mem id t.reserved
+
 let fresh_id t =
-  (* caller holds [t.lock] *)
   let rec go () =
     t.next_id <- t.next_id + 1;
     let id = Printf.sprintf "s%d" t.next_id in
-    if Hashtbl.mem t.sessions id then go () else id
+    if taken t id then go () else id
   in
   go ()
 
+(* The id is reserved under [t.lock], but the session — and with it a
+   cold program's analysis, seconds for the larger programs — is built
+   outside it, so [lookup] and every other session's calls never wait
+   on a [create]. *)
 let register t requested make =
-  Mutex.protect t.lock (fun () ->
-      let id =
-        match requested with
-        | None -> fresh_id t
-        | Some id ->
-            if Hashtbl.mem t.sessions id then
-              failwith (Printf.sprintf "session %S already exists" id);
-            id
-      in
-      let s = make id in
-      Hashtbl.replace t.sessions id s;
-      s)
+  let id =
+    Mutex.protect t.lock (fun () ->
+        let id =
+          match requested with
+          | None -> fresh_id t
+          | Some id ->
+              if taken t id then
+                failwith (Printf.sprintf "session %S already exists" id);
+              id
+        in
+        t.reserved <- id :: t.reserved;
+        id)
+  in
+  let release () =
+    t.reserved <- List.filter (fun r -> r <> id) t.reserved
+  in
+  match make id with
+  | s ->
+      Mutex.protect t.lock (fun () ->
+          release ();
+          Hashtbl.replace t.sessions id s);
+      s
+  | exception e ->
+      Mutex.protect t.lock release;
+      raise e
 
 let lookup t id =
   match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.sessions id) with
@@ -305,7 +333,9 @@ let serve t =
     | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> accept_loop ()
   in
   accept_loop ();
-  (try Unix.close t.sock with Unix.Unix_error _ -> ());
+  Mutex.protect t.lock (fun () ->
+      t.sock_closed <- true;
+      try Unix.close t.sock with Unix.Unix_error _ -> ());
   (* orderly teardown: close every session (each drains its queue), then
      the pool's domains *)
   let sessions =

@@ -1,11 +1,12 @@
 (** The [dynfo serve] daemon: a long-lived multi-session server speaking
     the {!Wire} protocol over a Unix-domain or TCP stream socket.
 
-    One thread per connection parses command lines and dispatches them;
-    each session ({!Session}) owns its runner behind a worker thread, so
-    many connections driving one session get their update bursts
-    coalesced into single evaluation ticks, and sessions evolve
-    independently of each other. Parallel-engine sessions share one
+    One thread per connection parses command lines and dispatches them,
+    and runs its own calls into a session ({!Session}): many connections
+    driving one session get their update bursts coalesced into single
+    evaluation ticks, and sessions evolve independently of each other.
+    Creating a session (and its cold program analysis) holds no lock
+    that other sessions' calls take. Parallel-engine sessions share one
     lazily created {!Dynfo_engine.Pool}.
 
     The server does not depend on the program registry — the

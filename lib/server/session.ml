@@ -2,13 +2,14 @@ open Dynfo_logic
 open Dynfo
 module Par_runner = Dynfo_engine.Par_runner
 
-(* One live session: a runner instance plus a dedicated worker thread
-   draining a FIFO job queue. Connection threads submit jobs and block
-   on a per-call ivar; the worker coalesces every run of consecutive
-   update jobs into a single [Runner.step_batch] tick, which is where
-   the serving layer's batching win comes from — a burst of clients
-   pays for one validation pass, one [`Auto] resolution and one round
-   of delta tester rebinds instead of one each.
+(* One live session: a runner instance plus a FIFO job queue drained by
+   the submitting threads themselves (see [call]). The drain coalesces
+   every run of consecutive update jobs into a single [Runner.step_batch]
+   tick, which is where the serving layer's batching win comes from — a
+   burst of clients pays for one validation pass, one [`Auto] resolution
+   and one round of delta tester rebinds instead of one each. A
+   connection handles its own commands one at a time, so coalescing
+   only ever happens across connections.
 
    In the default [`Commute] coalescing mode the drain additionally
    consults the model-checked commute oracle ([Dynfo_analysis.Commute]
@@ -61,7 +62,8 @@ type t = {
   coalesce : [ `Fifo | `Commute ];
   lock : Mutex.t;
   cond : Condition.t;
-  mutable queue : job list;  (* newest first; worker reverses *)
+  mutable queue : job list;  (* newest first; the leader reverses *)
+  mutable busy : bool;  (* a slice is being drained *)
   mutable closing : bool;
   mutable runner : runner;
   mutable steps : int;
@@ -75,7 +77,6 @@ type t = {
   mutable streamed : int;
   mutable deduped : int;
   mutable hoisted : int;
-  mutable worker : Thread.t option;
 }
 
 let id t = t.id
@@ -109,7 +110,7 @@ let stats t =
         st_hoisted = t.hoisted;
       })
 
-(* --- the worker ------------------------------------------------------------ *)
+(* --- the drain ------------------------------------------------------------- *)
 
 let apply_tick t reqs =
   let backend = (t.resolved :> Runner.backend) in
@@ -295,25 +296,7 @@ let process t jobs =
   | `Fifo -> process_fifo t jobs
   | `Commute -> process_commute t jobs
 
-let rec worker_loop t =
-  Mutex.lock t.lock;
-  while t.queue = [] && not t.closing do
-    Condition.wait t.cond t.lock
-  done;
-  let jobs = List.rev t.queue in
-  t.queue <- [];
-  let stop = jobs = [] && t.closing in
-  Mutex.unlock t.lock;
-  if not stop then begin
-    process t jobs;
-    worker_loop t
-  end
-
 (* --- construction ---------------------------------------------------------- *)
-
-let spawn t =
-  t.worker <- Some (Thread.create worker_loop t);
-  t
 
 let make ~id ~name ?pool ~backend ~coalesce (p : Program.t) runner_of =
   let resolved = Runner.resolve_backend p backend in
@@ -330,33 +313,32 @@ let make ~id ~name ?pool ~backend ~coalesce (p : Program.t) runner_of =
       match Vocab.constants p.input_vocab with
       | c :: _ -> ignore (Runner.defchange_verdict p `Set c)
       | [] -> ()));
-  spawn
-    {
-      id;
-      name;
-      program = p;
-      backend;
-      resolved;
-      engine;
-      coalesce;
-      lock = Mutex.create ();
-      cond = Condition.create ();
-      queue = [];
-      closing = false;
-      runner;
-      steps = 0;
-      ticks = 0;
-      coalesced = 0;
-      work = 0;
-      queries = 0;
-      groups = 0;
-      elided = 0;
-      absorbed = 0;
-      streamed = 0;
-      deduped = 0;
-      hoisted = 0;
-      worker = None;
-    }
+  {
+    id;
+    name;
+    program = p;
+    backend;
+    resolved;
+    engine;
+    coalesce;
+    lock = Mutex.create ();
+    cond = Condition.create ();
+    queue = [];
+    busy = false;
+    closing = false;
+    runner;
+    steps = 0;
+    ticks = 0;
+    coalesced = 0;
+    work = 0;
+    queries = 0;
+    groups = 0;
+    elided = 0;
+    absorbed = 0;
+    streamed = 0;
+    deduped = 0;
+    hoisted = 0;
+  }
 
 let create ~id ~name ?pool ~backend ?(coalesce = `Commute) (p : Program.t)
     ~size =
@@ -386,48 +368,56 @@ let of_state ~id ~name ?pool ~backend ?(coalesce = `Commute) ~steps inner =
 
 (* --- submission ------------------------------------------------------------ *)
 
-let submit t job =
+let fail e = function
+  | J_update (_, reply) -> reply (Error e)
+  | J_query (_, _, reply) -> reply (Error e)
+  | J_snapshot (_, reply) -> reply (Error e)
+
+(* Called with [t.lock] held and the session idle; returns with it
+   released. Drains one slice: whatever [process] leaves unanswered
+   when it raises gets the exception, so the lead is always released
+   and the session never wedges. *)
+let lead t =
+  t.busy <- true;
+  let jobs = List.rev t.queue in
+  t.queue <- [];
+  Mutex.unlock t.lock;
+  (try process t jobs with e -> List.iter (fail e) jobs);
   Mutex.protect t.lock (fun () ->
-      if t.closing then
-        invalid_arg (Printf.sprintf "Session.submit: session %s is closed" t.id);
-      t.queue <- job t.queue;
-      Condition.signal t.cond)
+      t.busy <- false;
+      Condition.broadcast t.cond)
 
-(* Block the calling (connection) thread until the worker replies. *)
-let sync fill =
-  let m = Mutex.create () in
-  let c = Condition.create () in
+(* The caller-runs drain. A thread that submits to an idle session
+   leads: it takes the whole queue (its own job included) as one slice.
+   A thread that submits during a slice waits until its job is answered
+   there, or until the lead is released with its job still queued — it
+   then leads the next slice, holding every job that arrived meanwhile,
+   so a caller waits behind at most one slice of others' work. Replies
+   are write-once (the exception sweep in [lead] cannot overwrite an
+   answer) and are read under [t.lock] after the writing slice ends. *)
+let call t job_of =
   let slot = ref None in
-  fill (fun r ->
-      Mutex.protect m (fun () ->
-          slot := Some r;
-          Condition.signal c));
-  let r =
-    Mutex.protect m (fun () ->
-        while !slot = None do
-          Condition.wait c m
-        done;
-        Option.get !slot)
-  in
-  match r with Ok v -> v | Error e -> raise e
+  let job = job_of (fun r -> if Option.is_none !slot then slot := Some r) in
+  Mutex.lock t.lock;
+  if t.closing then begin
+    Mutex.unlock t.lock;
+    invalid_arg (Printf.sprintf "Session.submit: session %s is closed" t.id)
+  end;
+  t.queue <- job :: t.queue;
+  while Option.is_none !slot && t.busy do
+    Condition.wait t.cond t.lock
+  done;
+  (* unanswered and idle: the job is still queued, so take the lead *)
+  if Option.is_none !slot then lead t else Mutex.unlock t.lock;
+  match Option.get !slot with Ok v -> v | Error e -> raise e
 
-let update t reqs =
-  sync (fun reply -> submit t (fun q -> J_update (reqs, reply) :: q))
-
-let query t ?name args =
-  sync (fun reply -> submit t (fun q -> J_query (name, args, reply) :: q))
-
-let snapshot t ~path =
-  sync (fun reply -> submit t (fun q -> J_snapshot (path, reply) :: q))
+let update t reqs = call t (fun reply -> J_update (reqs, reply))
+let query t ?name args = call t (fun reply -> J_query (name, args, reply))
+let snapshot t ~path = call t (fun reply -> J_snapshot (path, reply))
 
 let close t =
-  let join =
-    Mutex.protect t.lock (fun () ->
-        if t.closing then None
-        else begin
-          t.closing <- true;
-          Condition.signal t.cond;
-          t.worker
-        end)
-  in
-  Option.iter Thread.join join
+  Mutex.protect t.lock (fun () ->
+      t.closing <- true;
+      while t.busy || t.queue <> [] do
+        Condition.wait t.cond t.lock
+      done)

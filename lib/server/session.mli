@@ -1,16 +1,23 @@
-(** One live serving session: a runner instance owned by a dedicated
-    worker thread.
+(** One live serving session: a runner instance and a FIFO job queue.
 
     Connection threads never touch the runner directly — they submit
-    jobs (updates, queries, snapshots) to the session's FIFO queue and
-    block until the worker replies. The worker drains the queue in
-    order, and {e coalesces every run of consecutive update jobs into a
-    single batch} applied as one [Dynfo.Runner.step_batch] evaluation
-    tick. Under concurrent load this is the batching win: a burst of
-    clients pays one validation pass, one [`Auto] resolution and one
-    round of delta tester rebinds instead of one each — while FIFO
-    order keeps the semantics exactly those of the singleton sequence
-    (a query submitted after an update observes it).
+    jobs (updates, queries, snapshots) to the session's queue and block
+    until answered. The session has no thread of its own: the submitting
+    threads drain the queue themselves. A caller that finds the session
+    idle {e leads}: it takes the whole queue, its own job included, and
+    drains that one slice. A caller that submits during a slice waits
+    until its job is answered, or until the lead is released with its
+    job still queued — it then leads the next slice, which holds every
+    job that arrived meanwhile. So a caller waits behind at most one
+    slice of others' work. The drain answers jobs in order and {e
+    coalesces every run of consecutive update jobs into a single batch}
+    applied as one [Dynfo.Runner.step_batch] evaluation tick. Under
+    concurrent load this is the batching win: a burst of clients pays
+    one validation pass, one [`Auto] resolution and one round of delta
+    tester rebinds instead of one each — while FIFO order keeps the
+    semantics exactly those of the singleton sequence (a query submitted
+    after an update observes it). A connection handles its own commands
+    one at a time, so coalescing only happens across connections.
 
     Sessions evaluate on the sequential runner by default; pass [?pool]
     to run on the parallel engine instead. The pool is shared by all
@@ -50,7 +57,7 @@ val create :
   Program.t ->
   size:int ->
   t
-(** Fresh session over [f_n(empty)]; spawns the worker thread. [name]
+(** Fresh session over [f_n(empty)]; creates no thread. [name]
     is the external (registry) name the program was found by — it is
     what snapshots record, so a restore can find the program again.
     [coalesce] (default [`Commute]) selects the drain mode; [`Commute]
@@ -107,5 +114,6 @@ val snapshot : t -> path:string -> int
 val stats : t -> stats
 
 val close : t -> unit
-(** Drain the queue, stop the worker, join it. Idempotent; subsequent
-    submissions raise [Invalid_argument]. *)
+(** Refuse further submissions ([Invalid_argument]) and wait until every
+    job already submitted has been answered and no slice is running.
+    Idempotent. *)

@@ -36,7 +36,7 @@ type cmd =
       backend : Runner.backend;
       engine : [ `Seq | `Par ];
       coalesce : [ `Fifo | `Commute ];
-          (** worker drain mode; optional on the wire, default
+          (** session drain mode; optional on the wire, default
               [`Commute] *)
     }
   | Attach of { session : string }

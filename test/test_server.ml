@@ -3,8 +3,10 @@
    corruption rejection, snapshot -> restore -> lockstep-continue with
    identical answers and work counts, the batch == singleton-sequence
    oracle over the whole registry on all four backends, session
-   coalescing under concurrent submitters, and the daemon end-to-end
-   over a real Unix socket. *)
+   coalescing under concurrent submitters, the caller-runs drain under
+   stress, close, a held leader and a raising slice, and the daemon
+   end-to-end over a real Unix socket, including a cold create that
+   must not stall a live session. *)
 
 open Dynfo_logic
 open Dynfo
@@ -401,7 +403,7 @@ let test_session_concurrent () =
   in
   check tb "concurrent result == offline replay" true
     (Structure.equal (Runner.structure offline) (Session.structure sess));
-  (* invalid batches are rejected without killing the worker *)
+  (* invalid batches are rejected without wedging the session *)
   (match Session.update sess [ Request.ins "M" [ 99 ] ] with
   | _ -> Alcotest.fail "invalid update must raise"
   | exception Invalid_argument _ -> ());
@@ -512,33 +514,254 @@ let test_session_mixed_traffic () =
     (st.Session.st_hoisted >= 0 && st.Session.st_hoisted <= st.Session.st_steps);
   Session.close sess
 
+(* --- the caller-runs drain -------------------------------------------------- *)
+
+(* parity plus a named membership query, so a caller can check that its
+   own update is visible to its next query whatever the other callers
+   did meanwhile *)
+let member =
+  let p = (Registry.find "parity").program in
+  { p with
+    Program.name = "parity-member";
+    queries = [ ("has", [ "x" ], Parser.parse "M(x)") ] }
+
+(* Every watched thread must finish within [seconds], or the test fails
+   instead of hanging on a wedged session. Failures inside a thread are
+   collected and reported, not lost with the thread. *)
+let run_watched ?(seconds = 30.) bodies =
+  let finished = Atomic.make 0 in
+  let errors = Mutex.create () and msgs = ref [] in
+  let threads =
+    List.map
+      (fun body ->
+        Thread.create
+          (fun () ->
+            (try body ()
+             with e ->
+               Mutex.protect errors (fun () ->
+                   msgs := Printexc.to_string e :: !msgs));
+            Atomic.incr finished)
+          ())
+      bodies
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  while Atomic.get finished < List.length bodies do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.failf "watchdog: %d of %d threads still running after %.0f s"
+        (List.length bodies - Atomic.get finished)
+        (List.length bodies) seconds;
+    Thread.delay 0.01
+  done;
+  List.iter Thread.join threads;
+  List.iter (fun m -> Alcotest.fail m) !msgs
+
+(* 4 threads of mixed update / query / snapshot traffic on one session.
+   Each thread owns the elements congruent to its index mod 4, so the
+   threads' requests commute and the final structure must equal any
+   concatenation of their accepted sequences. Every accepted update call
+   is either a tick's first job or coalesced into one. *)
+let test_session_stress () =
+  Dynfo_analysis.Commute.install ();
+  let size = 16 and threads = 4 and calls = 150 in
+  let sess = Session.create ~id:"x" ~name:"parity" ~backend:`Delta member ~size in
+  let accepted = Array.make threads [] (* newest first *) in
+  let body k () =
+    let rng = Random.State.make [| k |] in
+    let mine = Array.make size false in
+    let path = Filename.temp_file (Printf.sprintf "dynfo_stress%d" k) ".snap" in
+    for i = 1 to calls do
+      if i mod 10 = 0 then (
+        match Session.update sess [ Request.ins "M" [ size + k ] ] with
+        | _ -> failwith "out-of-range update accepted"
+        | exception Invalid_argument _ -> ())
+      else if i mod 25 = 0 then begin
+        if Session.snapshot sess ~path <= 0 then failwith "empty snapshot"
+      end
+      else begin
+        let a = k + (threads * Random.State.int rng (size / threads)) in
+        let r = if mine.(a) then Request.del "M" [ a ] else Request.ins "M" [ a ] in
+        let applied, _ = Session.update sess [ r ] in
+        if applied <> 1 then failwith "applied <> 1";
+        mine.(a) <- not mine.(a);
+        accepted.(k) <- r :: accepted.(k);
+        if Session.query sess ~name:"has" [ a ] <> mine.(a) then
+          failwith (Printf.sprintf "thread %d: query missed its own update" k)
+      end
+    done;
+    Sys.remove path
+  in
+  run_watched (List.init threads body);
+  let reqs = List.concat_map List.rev (Array.to_list accepted) in
+  let st = Session.stats sess in
+  check ti "ticks + coalesced = accepted update calls" (List.length reqs)
+    (st.Session.st_ticks + st.Session.st_coalesced);
+  let offline = Runner.run (Runner.init member ~size) reqs in
+  check tb "final structure == offline replay" true
+    (Structure.equal (Runner.structure offline) (Session.structure sess));
+  Session.close sess
+
+(* A one-shot gate in the commute oracle of one program value: the first
+   drain that asks for it blocks until [open_gate], so a test can hold a
+   leader in the middle of its slice. Other programs get the installed
+   analysis' oracle, which is reinstalled afterwards. *)
+type gate = {
+  g_lock : Mutex.t;
+  g_cond : Condition.t;
+  mutable entered : bool;
+  mutable opened : bool;
+}
+
+let with_gate (p : Program.t) f =
+  let g =
+    { g_lock = Mutex.create (); g_cond = Condition.create (); entered = false;
+      opened = false }
+  in
+  Runner.set_commute_oracle (fun q ->
+      if q != p then Dynfo_analysis.Commute.oracle_of q
+      else begin
+        Mutex.protect g.g_lock (fun () ->
+            if not g.entered then begin
+              g.entered <- true;
+              Condition.broadcast g.g_cond;
+              while not g.opened do
+                Condition.wait g.g_cond g.g_lock
+              done
+            end);
+        Runner.null_oracle
+      end);
+  let await_leader () =
+    Mutex.protect g.g_lock (fun () ->
+        while not g.entered do
+          Condition.wait g.g_cond g.g_lock
+        done)
+  in
+  let open_gate () =
+    Mutex.protect g.g_lock (fun () ->
+        g.opened <- true;
+        Condition.broadcast g.g_cond)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      open_gate ();
+      Dynfo_analysis.Commute.install ())
+    (fun () -> f ~await_leader ~open_gate)
+
+let test_session_close_drain () =
+  Dynfo_analysis.Commute.install ();
+  let p = { member with Program.name = "parity-close" } in
+  let sess = Session.create ~id:"c" ~name:"parity" ~backend:`Tuple p ~size:8 in
+  with_gate p (fun ~await_leader ~open_gate ->
+      let answer = ref None in
+      let leader =
+        Thread.create
+          (fun () -> answer := Some (Session.update sess [ Request.ins "M" [ 1 ] ]))
+          ()
+      in
+      await_leader ();
+      let closed = Atomic.make false and steps_at_close = ref (-1) in
+      let closer =
+        Thread.create
+          (fun () ->
+            Session.close sess;
+            steps_at_close := (Session.stats sess).Session.st_steps;
+            Atomic.set closed true)
+          ()
+      in
+      Thread.delay 0.2;
+      check tb "close waits for the running slice" false (Atomic.get closed);
+      open_gate ();
+      Thread.join closer;
+      check ti "close returned after the in-flight call was answered" 1
+        !steps_at_close;
+      Thread.join leader;
+      check tb "in-flight caller answered" true
+        (match !answer with Some (1, _) -> true | _ -> false));
+  match Session.update sess [ Request.ins "M" [ 2 ] ] with
+  | _ -> Alcotest.fail "a submit after close must raise"
+  | exception Invalid_argument _ -> ()
+
+let test_session_held_leader () =
+  Dynfo_analysis.Commute.install ();
+  let p = { member with Program.name = "parity-held" } in
+  let size = 8 in
+  let sess = Session.create ~id:"l" ~name:"parity" ~backend:`Tuple p ~size in
+  with_gate p (fun ~await_leader ~open_gate ->
+      let submit a =
+        Thread.create (fun () -> ignore (Session.update sess [ Request.ins "M" [ a ] ])) ()
+      in
+      let leader = submit 0 in
+      await_leader ();
+      let waiters = [ submit 1; submit 2 ] in
+      (* let both waiters queue behind the held slice *)
+      Thread.delay 0.2;
+      open_gate ();
+      List.iter Thread.join (leader :: waiters));
+  let st = Session.stats sess in
+  check ti "leader's tick + one tick for both waiters" 2 st.Session.st_ticks;
+  check tb "the waiters coalesced" true (st.Session.st_coalesced >= 1);
+  let offline =
+    Runner.run (Runner.init p ~size) (List.map (fun a -> Request.ins "M" [ a ]) [ 0; 1; 2 ])
+  in
+  check tb "state == offline replay" true
+    (Structure.equal (Runner.structure offline) (Session.structure sess));
+  Session.close sess
+
+(* An exception escaping the drain (here: the oracle lookup at the start
+   of a slice) answers every job of the slice with it and releases the
+   lead, so later calls are still served. *)
+let test_session_raising_drain () =
+  Dynfo_analysis.Commute.install ();
+  let p = { member with Program.name = "parity-raise" } in
+  let sess = Session.create ~id:"r" ~name:"parity" ~backend:`Tuple p ~size:8 in
+  let armed = Atomic.make true in
+  Runner.set_commute_oracle (fun q ->
+      if q == p && Atomic.exchange armed false then failwith "oracle down"
+      else Dynfo_analysis.Commute.oracle_of q);
+  Fun.protect ~finally:Dynfo_analysis.Commute.install (fun () ->
+      run_watched ~seconds:10.
+        [
+          (fun () ->
+            match Session.update sess [ Request.ins "M" [ 1 ] ] with
+            | _ -> failwith "the raising slice must answer with its exception"
+            | exception Failure _ -> ());
+        ];
+      run_watched ~seconds:10.
+        [ (fun () -> ignore (Session.update sess [ Request.ins "M" [ 2 ] ])) ]);
+  check tb "the session still answers" true (Session.query sess ~name:"has" [ 2 ]);
+  Session.close sess
+
 (* --- end to end over a Unix socket ----------------------------------------- *)
 
-let with_server f =
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dynfo_test_%d.sock" (Unix.getpid ()))
-  in
+let test_sock () =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "dynfo_test_%d.sock" (Unix.getpid ()))
+
+let rec connect tries =
+  match Client.connect (`Unix (test_sock ())) with
+  | c -> c
+  | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
+    when tries > 0 ->
+      Thread.delay 0.05;
+      connect (tries - 1)
+
+(* [extra] programs are served besides the registry's *)
+let with_server ?(extra = []) f =
   let find_program name =
-    match Registry.find name with
-    | e -> Some e.Registry.program
-    | exception Not_found -> None
+    match List.assoc_opt name extra with
+    | Some p -> Some p
+    | None -> (
+        match Registry.find name with
+        | e -> Some e.Registry.program
+        | exception Not_found -> None)
   in
   let server_thread =
     Thread.create
       (fun () ->
         ignore
-          (Server.run { Server.addr = `Unix sock; lanes = Some 2; find_program }))
+          (Server.run
+             { Server.addr = `Unix (test_sock ()); lanes = Some 2; find_program }))
       ()
-  in
-  let rec connect tries =
-    match Client.connect (`Unix sock) with
-    | c -> c
-    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
-      when tries > 0 ->
-        Thread.delay 0.05;
-        connect (tries - 1)
   in
   let client = connect 100 in
   Fun.protect
@@ -684,6 +907,57 @@ let test_daemon_coalesce_modes () =
         && com.Client.delta_memo_misses >= 0
         && com.Client.delta_mask_builds >= 0))
 
+(* A cold create — a program copy no analysis has seen, seconds of
+   Commute and Defchange model checking — must not stall calls to a live
+   session of another program: neither the server's session table nor
+   the analysis caches may hold a process-wide lock across it. *)
+let test_daemon_cold_create () =
+  Dynfo_analysis.Advisor.install ();
+  Dynfo_analysis.Commute.install ();
+  Dynfo_analysis.Defchange.install ();
+  let cold = { (Registry.find "matching").program with Program.name = "matching-cold" } in
+  with_server ~extra:[ ("matching-cold", cold) ] (fun client ->
+      let size = 64 in
+      let session = Client.create client ~program:"parity" ~size () in
+      let creating = Atomic.make true and create_s = ref 0. in
+      let creator =
+        Thread.create
+          (fun () ->
+            let other = connect 0 in
+            let t0 = Unix.gettimeofday () in
+            ignore (Client.create other ~program:"matching-cold" ~size:8 ());
+            create_s := Unix.gettimeofday () -. t0;
+            Client.close other;
+            Atomic.set creating false)
+          ()
+      in
+      let rng = Random.State.make [| 13 |] in
+      let members = Array.make size false in
+      let worst = ref 0. and during = ref 0 in
+      let timed f =
+        let t0 = Unix.gettimeofday () in
+        let x = f () in
+        worst := Float.max !worst (Unix.gettimeofday () -. t0);
+        x
+      in
+      while Atomic.get creating do
+        let a = Random.State.int rng size in
+        let r = if members.(a) then Request.del "M" [ a ] else Request.ins "M" [ a ] in
+        ignore (timed (fun () -> Client.update client ~session [ r ]));
+        members.(a) <- not members.(a);
+        let odd = Array.fold_left (fun n b -> if b then n + 1 else n) 0 members mod 2 = 1 in
+        check tb "live answer == offline replay" odd
+          (timed (fun () -> Client.query client ~session []));
+        incr during
+      done;
+      Thread.join creator;
+      Printf.printf "cold create %.3f s; %d live rounds, worst call %.3f s\n"
+        !create_s !during !worst;
+      check tb "live calls overlapped the cold create" true (!during > 0);
+      if !worst >= 0.5 then
+        Alcotest.failf "a live call waited %.3f s during a %.3f s cold create"
+          !worst !create_s)
+
 let () =
   Alcotest.run "server"
     [
@@ -716,6 +990,14 @@ let () =
             test_session_dedupe;
           Alcotest.test_case "mixed update/query traffic" `Quick
             test_session_mixed_traffic;
+          Alcotest.test_case "stress under a watchdog" `Quick
+            test_session_stress;
+          Alcotest.test_case "close during a drain" `Quick
+            test_session_close_drain;
+          Alcotest.test_case "held leader coalesces waiters" `Quick
+            test_session_held_leader;
+          Alcotest.test_case "a raising drain wedges nothing" `Quick
+            test_session_raising_drain;
         ] );
       ( "daemon",
         [
@@ -724,5 +1006,7 @@ let () =
           Alcotest.test_case "load generator" `Slow test_loadgen;
           Alcotest.test_case "fifo vs commute coalescing" `Slow
             test_daemon_coalesce_modes;
+          Alcotest.test_case "cold create stalls no session" `Slow
+            test_daemon_cold_create;
         ] );
     ]
