@@ -79,7 +79,7 @@ let delta_estimates (p : Program.t) ~size =
               frontier + min sp (est_sup f.f_out + est_sup f.f_in),
               space + sp )
         | None -> (rules + 1, frontier + sp, space + sp))
-      (0, 0, 0) b
+      (0, 0, 0) b.bp_rules
   in
   List.fold_left
     (fun ((_, _, sp) as acc) (_, b) ->

@@ -10,11 +10,11 @@ open Dynfo
    model-checking harness in the style of Rewrite's verifier, is the
    only thing that can promote a candidate to [Commute]: exhaustive over
    synthetic structures while the budget lasts, seeded sampling beyond,
-   and a reachable-state fallback (random request prefixes from the
-   initial state) for laws that hold on every state the serving layer
-   can actually be in but not on arbitrary auxiliary contents. Anything
-   unconfirmed degrades to [Unknown], which every consumer treats as
-   [Conflict]. *)
+   and a reachable-state fallback (every state of seeded random runs
+   from the initial state) for laws that hold on every state the
+   serving layer can actually be in but not on arbitrary auxiliary
+   contents. Anything unconfirmed degrades to [Unknown], which every
+   consumer treats as [Conflict]. *)
 
 (* --- operations ------------------------------------------------------------ *)
 
@@ -334,44 +334,6 @@ let run_synthetic ~max_size ~budget ~samples (p : Program.t) ~arities ~pre
   done;
   { mc_checks = !checks; mc_exhaustive_upto = !exhaustive_upto; mc_cex = !cex }
 
-(* Reachable states: random request prefixes from the initial state,
-   seeded. This is the domain the serving layer actually inhabits —
-   sessions start at f_n(empty) and apply valid requests — so laws that
-   a synthetic structure with inconsistent auxiliaries refutes can still
-   be sound for serving when they survive here. *)
-let workload_spec (p : Program.t) =
-  let rels =
-    List.map
-      (fun (s : Vocab.sym) -> (s.name, s.arity))
-      (Vocab.relations p.input_vocab)
-  in
-  Workload.spec ~consts:(Vocab.constants p.input_vocab) rels
-
-let reachable_states ~max_size (p : Program.t) =
-  let spec = workload_spec p in
-  List.concat_map
-    (fun size ->
-      List.concat_map
-        (fun seed ->
-          let reqs =
-            Workload.generate
-              (Random.State.make [| 0xBEA7; size; seed |])
-              ~size ~length:32 spec
-          in
-          let prefixes = [ 0; 6; 16; 32 ] in
-          let _, _, states =
-            List.fold_left
-              (fun (s, i, acc) req ->
-                let s = Runner.step s req in
-                let i = i + 1 in
-                (s, i, if List.mem i prefixes then (size, s) :: acc else acc))
-              (Runner.init p ~size, 0, [ (size, Runner.init p ~size) ])
-              reqs
-          in
-          states)
-        [ 1; 2; 3 ])
-    (List.init max_size (fun i -> i + 1))
-
 let run_reachable states ~arities ~pre ~check =
   let checks = ref 0 in
   let cex = ref None in
@@ -535,7 +497,11 @@ let verify_law ~max_size ~budget ~samples p states ~arities ~pre ~check =
 let analyze ?(max_size = 4) ?(budget = 20_000) ?(samples = 48)
     (p : Program.t) =
   let ops = ops_of p in
-  let states = lazy (reachable_states ~max_size p) in
+  (* the domain the serving layer actually inhabits — sessions start at
+     f_n(empty) and apply valid requests — so laws that a synthetic
+     structure with inconsistent auxiliaries refutes can still be sound
+     for serving when they survive here *)
+  let states = lazy (Refmodel.reachable_states ~max_size p) in
   let rm = Refmodel.create ~max_size p in
   let rw = List.map (fun o -> (o, (writes_of p o, reads_of p o))) ops in
   let law_of ~arities ~pre ~check =

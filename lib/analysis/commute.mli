@@ -33,10 +33,10 @@
       cross-checks) on two domains: {e synthetic} structures with
       arbitrary auxiliary contents (a strict superset of anything
       reachable), and — when a synthetic counterexample exists — the
-      {e reachable} states produced by seeded request prefixes from the
-      initial state, which is the only domain the serving layer
-      inhabits. A verdict confirmed merely on the reachable domain is
-      tagged as such ({!cell.c_domain}).
+      {e reachable} states of seeded request runs from the initial
+      state ({!Refmodel.reachable_states}), the only domain the serving
+      layer inhabits. A verdict confirmed merely on the reachable
+      domain is tagged as such ({!cell.c_domain}).
 
     Anything unconfirmed degrades to {!Unknown}; every consumer
     ({!Dynfo.Runner.step_batch}'s planner, the session
@@ -72,7 +72,7 @@ type verdict = Commute | Conflict | Unknown
 
 type domain =
   | Synthetic  (** arbitrary auxiliary contents — the stronger claim *)
-  | Reachable  (** request prefixes from the initial state only *)
+  | Reachable  (** states of seeded runs from the initial state only *)
 
 type source =
   | Syntactic  (** layer 1: disjoint read/write sets *)

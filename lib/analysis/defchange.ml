@@ -207,42 +207,6 @@ let run_synthetic ~max_size ~budget ~samples (p : Program.t) ~arities ~check =
   done;
   { mc_checks = !checks; mc_exhaustive_upto = !exhaustive_upto; mc_cex = !cex }
 
-(* Reachable states: random request prefixes from the initial state —
-   the domain the serving layer actually inhabits (same construction as
-   Commute.reachable_states). *)
-let workload_spec (p : Program.t) =
-  let rels =
-    List.map
-      (fun (s : Vocab.sym) -> (s.name, s.arity))
-      (Vocab.relations p.input_vocab)
-  in
-  Workload.spec ~consts:(Vocab.constants p.input_vocab) rels
-
-let reachable_states ~max_size (p : Program.t) =
-  let spec = workload_spec p in
-  List.concat_map
-    (fun size ->
-      List.concat_map
-        (fun seed ->
-          let reqs =
-            Workload.generate
-              (Random.State.make [| 0xBEA7; size; seed |])
-              ~size ~length:32 spec
-          in
-          let prefixes = [ 0; 6; 16; 32 ] in
-          let _, _, states =
-            List.fold_left
-              (fun (s, i, acc) req ->
-                let s = Runner.step s req in
-                let i = i + 1 in
-                (s, i, if List.mem i prefixes then (size, s) :: acc else acc))
-              (Runner.init p ~size, 0, [ (size, Runner.init p ~size) ])
-              reqs
-          in
-          states)
-        [ 1; 2; 3 ])
-    (List.init max_size (fun i -> i + 1))
-
 let run_reachable states ~arities ~check =
   let checks = ref 0 in
   let cex = ref None in
@@ -487,7 +451,7 @@ let cex_desc what mc =
 
 let analyze ?(max_size = 4) ?(budget = 20_000) ?(samples = 48)
     (p : Program.t) =
-  let states = lazy (reachable_states ~max_size p) in
+  let states = lazy (Refmodel.reachable_states ~max_size p) in
   let verify = verify_law ~max_size ~budget ~samples p states in
   let rm = Refmodel.create ~max_size p in
   let trivial = { law_holds = true; law_domain = Synthetic; law_checks = 0 } in

@@ -243,3 +243,64 @@ let matches s st =
       | Some code' -> code = code'
       | None -> Structure.equal (decode c code) st)
   | Plain st' -> Structure.equal st' st
+
+(* --- reachable states ------------------------------------------------------- *)
+
+let workload_spec ?p_ins ?p_del (p : Program.t) =
+  let rels =
+    List.map
+      (fun (s : Vocab.sym) -> (s.name, s.arity))
+      (Vocab.relations p.input_vocab)
+  in
+  Workload.spec ?p_ins ?p_del ~consts:(Vocab.constants p.input_vocab) rels
+
+(* Every state along each run, not a few sampled prefixes: a program
+   whose auxiliaries only settle at some points of a run (pad_reach_a's
+   fixpoint iterate, which one request advances and the next may
+   restart) must be judged mid-run too, where skipping an update block
+   is observable. Two run families: balanced inserts and deletes, which
+   keep structures sparse, and insert-only growth, which reaches the
+   dense structures (several arcs out of one vertex, long paths) that
+   the balanced runs almost never build. Growth gets six seeds: states
+   caught mid-iterate are rare even there (5 of pad_reach_a's ~500
+   distinct states at n <= 4), and three seeds happen to miss them all.
+   Runs revisit states a lot (redundant requests, small universes), so
+   each distinct structure is kept once, at its first visit. *)
+let reachable_states ~max_size (p : Program.t) =
+  let balanced = (workload_spec p, [ 1; 2; 3 ]) in
+  let growing = (workload_spec ~p_ins:1.0 ~p_del:0.0 p, [ 1; 2; 3; 4; 5; 6 ]) in
+  let runs = [ balanced; growing ] in
+  List.concat_map
+    (fun size ->
+      let visits =
+        List.concat_map
+          (fun (spec, seeds) ->
+            List.concat_map
+              (fun seed ->
+                let reqs =
+                  Workload.generate
+                    (Random.State.make [| 0xBEA7; size; seed |])
+                    ~size ~length:32 spec
+                in
+                let s0 = Runner.init p ~size in
+                snd
+                  (List.fold_left
+                     (fun (s, acc) req ->
+                       let s = Runner.step s req in
+                       (s, s :: acc))
+                     (s0, [ s0 ])
+                     reqs))
+              seeds)
+          runs
+      in
+      let seen = ref [] in
+      List.filter_map
+        (fun s ->
+          let st = Runner.structure s in
+          if List.exists (Structure.equal st) !seen then None
+          else begin
+            seen := st :: !seen;
+            Some (size, s)
+          end)
+        visits)
+    (List.init max_size (fun i -> i + 1))

@@ -71,3 +71,13 @@ val matches : state -> Structure.t -> bool
 (** [Structure.equal] between a reference state and a structure
     produced by a code path under test; compares codes when the
     structure has exactly the coder's vocabulary and size. *)
+
+val reachable_states : max_size:int -> Program.t -> (int * Runner.state) list
+(** The model checkers' reachable domain: for each universe size up to
+    [max_size], 32-request random runs of valid requests from
+    [f_n(empty)] ({!Dynfo.Workload.generate} over the input vocabulary)
+    — three balanced between inserts and deletes, six insert-only — and
+    {e every} distinct state along them, the initial one included,
+    paired with its size. Commute and Defchange
+    confirm laws that synthetic structures refute against exactly these
+    states. *)

@@ -225,8 +225,18 @@ let plan_rule (r : Program.rule) : D.rule_plan =
     rp_frame = frame;
   }
 
+(* Temporaries and queries have no previous value to be incremental
+   against: their plans are unframed, and exist so the delta backend can
+   keep one compiled tester per formula instead of compiling per step. *)
+let unframed target vars body =
+  { D.rp_target = target; rp_vars = vars; rp_body = body; rp_frame = None }
+
 let plan_block (u : Program.update) : D.block_plan =
-  List.map plan_rule u.rules
+  {
+    D.bp_temps =
+      List.map (fun (r : Program.rule) -> unframed r.target r.vars r.body) u.temps;
+    bp_rules = List.map plan_rule u.rules;
+  }
 
 let plan_program ?(fallback = `Tuple) (p : Program.t) : D.program_plan =
   let pick kind =
@@ -238,6 +248,9 @@ let plan_program ?(fallback = `Tuple) (p : Program.t) : D.program_plan =
     D.pp_ins = pick `Ins;
     pp_del = pick `Del;
     pp_set = pick `Set;
+    pp_query = Some (unframed "query" [] p.query);
+    pp_queries =
+      List.map (fun (name, _, body) -> (name, unframed name [] body)) p.queries;
     pp_fallback = fallback;
   }
 

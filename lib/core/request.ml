@@ -86,59 +86,58 @@ let valid vocab ~size = function
 
 let valid_batch vocab ~size reqs = List.for_all (valid vocab ~size) reqs
 
-let pp_tuples ppf tups =
-  List.iter (fun t -> Format.fprintf ppf " %a" Tuple.pp t) tups
+(* The five tuple forms are printed straight into a buffer — the wire
+   client prints one per update request, and [Format.asprintf] costs
+   several times the request itself. The def forms print their formula
+   through [Format]. test_core holds the output byte-identical to the
+   [Format] printer this replaced. *)
+let add_tuple buf t =
+  Buffer.add_char buf '(';
+  Array.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf (string_of_int v))
+    t;
+  Buffer.add_char buf ')'
 
-let pp_vars ppf vars =
-  Format.fprintf ppf "(%s)" (String.concat ", " vars)
+let pp_def ppf kind name vars f =
+  Format.fprintf ppf "%s %s (%s) : %a" kind name (String.concat ", " vars)
+    Formula.pp f
 
-let pp ppf = function
-  | Ins (name, tup) -> Format.fprintf ppf "ins %s %a" name Tuple.pp tup
-  | Del (name, tup) -> Format.fprintf ppf "del %s %a" name Tuple.pp tup
-  | Set (name, a) -> Format.fprintf ppf "set %s %d" name a
-  | Ins_set (name, tups) ->
-      Format.fprintf ppf "ins* %s%a" name pp_tuples tups
-  | Del_set (name, tups) ->
-      Format.fprintf ppf "del* %s%a" name pp_tuples tups
-  | Ins_def (name, vars, f) ->
-      Format.fprintf ppf "insdef %s %a : %a" name pp_vars vars Formula.pp f
-  | Del_def (name, vars, f) ->
-      Format.fprintf ppf "deldef %s %a : %a" name pp_vars vars Formula.pp f
+let rec to_string r =
+  let buf = Buffer.create 32 in
+  let head kind name =
+    Buffer.add_string buf kind;
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf name
+  in
+  match r with
+  | Ins_def _ | Del_def _ -> Format.asprintf "%a" pp r
+  | Ins (name, tup) | Del (name, tup) ->
+      head (match r with Ins _ -> "ins" | _ -> "del") name;
+      Buffer.add_char buf ' ';
+      add_tuple buf tup;
+      Buffer.contents buf
+  | Set (name, a) ->
+      head "set" name;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (string_of_int a);
+      Buffer.contents buf
+  | Ins_set (name, tups) | Del_set (name, tups) ->
+      head (match r with Ins_set _ -> "ins*" | _ -> "del*") name;
+      List.iter
+        (fun t ->
+          Buffer.add_char buf ' ';
+          add_tuple buf t)
+        tups;
+      Buffer.contents buf
 
-let to_string r = Format.asprintf "%a" pp r
+and pp ppf = function
+  | Ins_def (name, vars, f) -> pp_def ppf "insdef" name vars f
+  | Del_def (name, vars, f) -> pp_def ppf "deldef" name vars f
+  | r -> Format.pp_print_string ppf (to_string r)
 
 let malformed line = failwith (Printf.sprintf "Request.parse: malformed %S" line)
-
-(* "(1, 2) (3, 4)" -> [[|1;2|]; [|3;4|]]. Tuples are parenthesised and
-   never nest, so scanning for balanced spans suffices. *)
-let parse_tuple_list line s =
-  let s = String.trim s in
-  let n = String.length s in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    while !i < n && s.[!i] = ' ' do incr i done;
-    if !i < n then begin
-      if s.[!i] <> '(' then malformed line;
-      let j =
-        try String.index_from s !i ')' with Not_found -> malformed line
-      in
-      let inner = String.sub s (!i + 1) (j - !i - 1) in
-      let comps =
-        if String.trim inner = "" then []
-        else
-          List.map
-            (fun c ->
-              match int_of_string_opt (String.trim c) with
-              | Some v -> v
-              | None -> malformed line)
-            (String.split_on_char ',' inner)
-      in
-      out := Array.of_list comps :: !out;
-      i := j + 1
-    end
-  done;
-  List.rev !out
 
 (* "insdef E (x, y) : phi" — head before the first ':', formula after. *)
 let parse_def line kind rest =
@@ -171,37 +170,143 @@ let parse_def line kind rest =
       if kind = "insdef" then Ins_def (name, vars, f)
       else Del_def (name, vars, f)
 
+(* --- the single-pass scanner ---------------------------------------------
+
+   The request grammar as the line-oriented surfaces have always read it:
+   the line is trimmed, split into space-separated tokens, and the first
+   token picks the form —
+   - [set NAME INT]: exactly three tokens;
+   - [ins NAME TUPLE] / [del NAME TUPLE]: the tokens after NAME are
+     concatenated {e without} spaces into one parenthesised,
+     comma-separated tuple (so spaces anywhere inside it are ignored);
+   - [ins* NAME TUPLE*] / [del* NAME TUPLE*]: zero or more
+     parenthesised tuples, separated by spaces only;
+   - [insdef]/[deldef]: a head and a formula (see [parse_def]).
+   Components are [int_of_string] literals after trimming. The scanner
+   below reads the five tuple forms by index, with no token list and no
+   substrings on the common path (plain decimal components). It accepts
+   and rejects exactly the strings — and returns exactly the values and
+   error messages — of the token-splitting reader it replaced, which
+   test_core keeps as its qcheck oracle. *)
+
+let is_ws = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* How the token reader saw a number's text: a [set] argument as is, a
+   tuple-list component trimmed, an ins/del component with its spaces
+   dropped and then trimmed. *)
+type text = Raw | Trimmed | Spaceless
+
+(* the number [s.[lo..hi)]: inline for plain decimal digits (the
+   common case), else through [int_of_string_opt] on the text as the
+   token reader saw it *)
+let component mode s lo hi =
+  let rec digits i acc nd =
+    if i >= hi then if nd > 0 && nd <= 18 then Some acc else None
+    else
+      match s.[i] with
+      | '0' .. '9' as c -> digits (i + 1) ((acc * 10) + Char.code c - 48) (nd + 1)
+      | ' ' when mode = Spaceless -> digits (i + 1) acc nd
+      | _ -> None
+  in
+  match digits lo 0 0 with
+  | Some _ as v -> v
+  | None -> (
+      let text = String.sub s lo (hi - lo) in
+      match mode with
+      | Raw -> int_of_string_opt text
+      | Trimmed -> int_of_string_opt (String.trim text)
+      | Spaceless ->
+          int_of_string_opt
+            (String.trim (String.concat "" (String.split_on_char ' ' text))))
+
+(* the comma-separated components of [s.[lo..hi)]; [None] on a bad one.
+   All-whitespace is the empty tuple. *)
+let components mode s lo hi =
+  let rec blank i = i >= hi || (is_ws s.[i] && blank (i + 1)) in
+  if blank lo then Some [||]
+  else
+    let rec go i start acc =
+      if i = hi || s.[i] = ',' then
+        match component mode s start i with
+        | None -> None
+        | Some v ->
+            if i = hi then Some (Array.of_list (List.rev (v :: acc)))
+            else go (i + 1) (i + 1) (v :: acc)
+      else go (i + 1) start acc
+    in
+    go lo lo []
+
 let parse line =
   let fail () = malformed line in
-  let line = String.trim line in
-  match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-  | [ "set"; name; a ] -> (
-      match int_of_string_opt a with Some a -> Set (name, a) | None -> fail ())
-  | kind :: name :: rest when (kind = "insdef" || kind = "deldef") && rest <> []
-    ->
-      parse_def line kind (name ^ " " ^ String.concat " " rest)
-  | kind :: name :: rest when kind = "ins*" || kind = "del*" ->
-      let tups = parse_tuple_list line (String.concat " " rest) in
-      if kind = "ins*" then Ins_set (name, tups) else Del_set (name, tups)
-  | kind :: name :: rest when (kind = "ins" || kind = "del") && rest <> [] -> (
-      let tup = String.trim (String.concat "" rest) in
-      let len = String.length tup in
-      if len < 2 || tup.[0] <> '(' || tup.[len - 1] <> ')' then fail ()
-      else
-        let inner = String.sub tup 1 (len - 2) in
-        let comps =
-          if String.trim inner = "" then []
-          else
-            List.map
-              (fun s ->
-                match int_of_string_opt (String.trim s) with
-                | Some i -> i
-                | None -> fail ())
-              (String.split_on_char ',' inner)
-        in
-        match kind with
-        | "ins" -> ins name comps
-        | _ -> del name comps)
+  let n = String.length line in
+  let lo = ref 0 and hi = ref n in
+  while !lo < n && is_ws line.[!lo] do incr lo done;
+  while !hi > !lo && is_ws line.[!hi - 1] do decr hi done;
+  let lo = !lo and hi = !hi in
+  (* the token starting at or after [i]: (start, end), end = start when
+     there is none *)
+  let token i =
+    let i = ref i in
+    while !i < hi && line.[!i] = ' ' do incr i done;
+    let j = ref !i in
+    while !j < hi && line.[!j] <> ' ' do incr j done;
+    (!i, !j)
+  in
+  let k0, k1 = token lo in
+  let n0, n1 = token k1 in
+  if n0 = n1 then fail ();
+  let kind = String.sub line k0 (k1 - k0) in
+  let name () = String.sub line n0 (n1 - n0) in
+  match kind with
+  | "set" -> (
+      let a0, a1 = token n1 in
+      if a0 = a1 || fst (token a1) < hi then fail ();
+      match component Raw line a0 a1 with
+      | Some a -> Set (name (), a)
+      | None -> fail ())
+  | "ins" | "del" -> (
+      (* the rest, spaces dropped, trimmed: the line's own trim already
+         ends it at a non-blank *)
+      let t0 = ref n1 in
+      while !t0 < hi && is_ws line.[!t0] do incr t0 done;
+      let t0 = !t0 in
+      if t0 >= hi then fail ();
+      if not (t0 < hi - 1 && line.[t0] = '(' && line.[hi - 1] = ')') then
+        fail ();
+      match components Spaceless line (t0 + 1) (hi - 1) with
+      | Some tup -> if kind = "ins" then Ins (name (), tup) else Del (name (), tup)
+      | None -> fail ())
+  | "ins*" | "del*" ->
+      (* tuple-list errors name the trimmed line *)
+      let fail () = malformed (String.sub line lo (hi - lo)) in
+      let i = ref n1 in
+      while !i < hi && is_ws line.[!i] do incr i done;
+      let tups = ref [] in
+      while !i < hi do
+        while !i < hi && line.[!i] = ' ' do incr i done;
+        if !i < hi then begin
+          if line.[!i] <> '(' then fail ();
+          let j = match String.index_from_opt line !i ')' with
+            | Some j when j < hi -> j
+            | _ -> fail ()
+          in
+          (match components Trimmed line (!i + 1) j with
+          | Some t -> tups := t :: !tups
+          | None -> fail ());
+          i := j + 1
+        end
+      done;
+      let tups = List.rev !tups in
+      if kind = "ins*" then Ins_set (name (), tups) else Del_set (name (), tups)
+  | "insdef" | "deldef" ->
+      let rest0, _ = token n1 in
+      if rest0 >= hi then fail ();
+      let words =
+        String.sub line n0 (hi - n0)
+        |> String.split_on_char ' '
+        |> List.filter (fun w -> w <> "")
+      in
+      parse_def (String.sub line lo (hi - lo)) kind (String.concat " " words)
   | _ -> fail ()
 
 let batch_to_string reqs = String.concat "; " (List.map to_string reqs)

@@ -151,28 +151,26 @@ let rules_define_for = function
   | `Tuple -> seq_rules_define
   | `Bulk -> bulk_rules_define
 
+(* The block plan's entry for a rule or temporary, validated against
+   the actual rule (vars + body) so a stale plan for a same-named
+   variant of the program is ignored instead of misevaluating. *)
+let rule_plan block (r : Program.rule) =
+  match Option.bind block (fun bp -> Delta_eval.rule_plan_for bp r.target) with
+  | Some rp when Delta_eval.plan_matches rp ~vars:r.vars r.body -> Some rp
+  | _ -> None
+
 (* The delta backend's [rules_define]: look the rule up in the block's
-   plan and evaluate its dirty frontier only; anything without a
-   matching framed plan — temporaries (fresh every step, nothing to be
-   incremental against) and unframed rules — is recomputed in full on
-   the plan's fallback backend. The plan is validated against the actual
-   rule (vars + body) so a stale plan for a same-named variant of the
-   program degrades to a full recompute instead of misevaluating. *)
+   plan and evaluate its dirty frontier only. Temporaries (fresh every
+   step, nothing to be incremental against) and unframed rules have
+   unframed plans: recomputed in full on the plan's fallback backend,
+   through the plan's cached tester. Only a rule without a valid plan
+   compiles afresh. *)
 let delta_rules_define ?batch (plan : Delta_eval.program_plan) block st ~env
     rules =
   let fallback = plan.Delta_eval.pp_fallback in
   List.map
     (fun (r : Program.rule) ->
-      let rp =
-        match Option.bind block (fun bp -> Delta_eval.rule_plan_for bp r.target)
-        with
-        | Some rp
-          when rp.Delta_eval.rp_vars = r.vars
-               && Formula.equal rp.Delta_eval.rp_body r.body ->
-            Some rp
-        | _ -> None
-      in
-      match rp with
+      match rule_plan block r with
       | Some rp -> (r.target, Delta_eval.define ~fallback st ~env ?batch rp)
       | None ->
           (r.target, Delta_eval.full_define fallback st ~vars:r.vars ~env r.body))
@@ -312,21 +310,13 @@ let muddle_rules_define (plan : Delta_eval.program_plan) block st ~env rules =
   let fallback = plan.Delta_eval.pp_fallback in
   List.map
     (fun (r : Program.rule) ->
-      let rp =
-        match Option.bind block (fun bp -> Delta_eval.rule_plan_for bp r.target)
-        with
-        | Some rp
-          when rp.Delta_eval.rp_vars = r.vars
-               && Formula.equal rp.Delta_eval.rp_body r.body ->
-            Some rp
-        | _ -> None
-      in
-      match rp with
+      match rule_plan block r with
       | Some rp when rp.Delta_eval.rp_frame <> None -> (
           match Delta_eval.try_define st ~env rp with
           | Some rel -> (r.target, rel)
           | None -> raise Budget_blown)
-      | _ ->
+      | Some rp -> (r.target, Delta_eval.define ~fallback st ~env rp)
+      | None ->
           (r.target, Delta_eval.full_define fallback st ~vars:r.vars ~env r.body))
     rules
 
@@ -649,25 +639,30 @@ let restore (p : Program.t) st =
   { program = p; structure = st; muddle = None }
 
 (* Queries have no frame (there is no previous value of a sentence to be
-   incremental against), so [`Delta] queries on the plan's fallback. *)
-let concrete_query_backend p = function
-  | (`Tuple | `Bulk) as b -> b
-  | `Delta -> (!delta_planner p).Delta_eval.pp_fallback
-
-let holds_for backend st ?env f =
-  match backend with
-  | `Tuple -> Eval.holds st ?env f
-  | `Bulk -> Bulk_eval.holds st ?env f
+   incremental against), so [`Delta] queries evaluate in full on the
+   plan's fallback — through the query plan's cached tester when the
+   plan has one for this formula. *)
+let holds_with backend p rp st ~env f =
+  let full = function
+    | `Tuple -> Eval.holds st ~env f
+    | `Bulk -> Bulk_eval.holds st ~env f
+  in
+  match resolve_backend p backend with
+  | (`Tuple | `Bulk) as b -> full b
+  | `Delta -> (
+      let plan = !delta_planner p in
+      let fallback = plan.Delta_eval.pp_fallback in
+      match rp plan with
+      | Some rp when Delta_eval.plan_matches rp ~vars:[] f ->
+          Delta_eval.holds ~fallback st ~env rp
+      | _ -> full fallback)
 
 let query ?(backend = `Tuple) s =
-  holds_for
-    (concrete_query_backend s.program (resolve_backend s.program backend))
-    s.structure s.program.query
+  holds_with backend s.program
+    (fun plan -> plan.Delta_eval.pp_query)
+    s.structure ~env:[] s.program.query
 
 let query_named ?(backend = `Tuple) s name args =
-  let backend =
-    concrete_query_backend s.program (resolve_backend s.program backend)
-  in
   match
     List.find_opt (fun (n, _, _) -> n = name) s.program.queries
   with
@@ -675,7 +670,9 @@ let query_named ?(backend = `Tuple) s name args =
   | Some (_, vars, body) ->
       if List.length vars <> List.length args then
         invalid_arg "Runner.query_named: arity mismatch";
-      holds_for backend s.structure ~env:(List.combine vars args) body
+      holds_with backend s.program
+        (fun plan -> List.assoc_opt name plan.Delta_eval.pp_queries)
+        s.structure ~env:(List.combine vars args) body
 
 let step_work ?backend s req = Eval.with_work (fun () -> step ?backend s req)
 

@@ -55,6 +55,13 @@ val delta_block_for :
     relation name). [Dynfo_engine.Par_runner] uses this to mirror
     [`Delta] steps with its own frontier evaluation. *)
 
+val rule_plan :
+  Delta_eval.block_plan option -> Program.rule -> Delta_eval.rule_plan option
+(** The block plan's entry for a rule or temporary, if it is a plan for
+    exactly this rule ({!Dynfo_logic.Delta_eval.plan_matches}); [None]
+    sends the rule to a plain full recompute. Shared with the parallel
+    engine's delta path. *)
+
 val resolve_backend : Program.t -> backend -> [ `Tuple | `Bulk | `Delta ]
 (** Resolve [`Auto] for a program via the installed chooser; the
     identity on concrete backends. *)

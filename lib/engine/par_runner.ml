@@ -79,17 +79,7 @@ let delta_rules_define pool cutoff ?batch (plan : Delta_eval.program_plan)
   let fallback = plan.Delta_eval.pp_fallback in
   List.map
     (fun (r : Program.rule) ->
-      let rp =
-        match
-          Option.bind block (fun bp -> Delta_eval.rule_plan_for bp r.target)
-        with
-        | Some rp
-          when rp.Delta_eval.rp_vars = r.vars
-               && Formula.equal rp.Delta_eval.rp_body r.body ->
-            Some rp
-        | _ -> None
-      in
-      match rp with
+      match Runner.rule_plan block r with
       | Some rp ->
           (r.target, Par_delta.define pool ~cutoff ?batch st ~env ~fallback rp)
       | None ->

@@ -60,17 +60,26 @@ type rule_plan = {
   rp_frame : frame option; (* [None]: always recompute in full *)
 }
 
-type block_plan = rule_plan list
+type block_plan = { bp_temps : rule_plan list; bp_rules : rule_plan list }
 
 type program_plan = {
   pp_ins : (string * block_plan) list;
   pp_del : (string * block_plan) list;
   pp_set : (string * block_plan) list;
+  pp_query : rule_plan option;
+  pp_queries : (string * rule_plan) list;
   pp_fallback : [ `Tuple | `Bulk ];
 }
 
 let conservative_plan =
-  { pp_ins = []; pp_del = []; pp_set = []; pp_fallback = `Tuple }
+  {
+    pp_ins = [];
+    pp_del = [];
+    pp_set = [];
+    pp_query = None;
+    pp_queries = [];
+    pp_fallback = `Tuple;
+  }
 
 let block_for plan (kind : [ `Ins | `Del | `Set ]) name =
   let blocks =
@@ -82,7 +91,16 @@ let block_for plan (kind : [ `Ins | `Del | `Set ]) name =
   List.assoc_opt name blocks
 
 let rule_plan_for (bp : block_plan) target =
-  List.find_opt (fun rp -> rp.rp_target = target) bp
+  let has rp = String.equal rp.rp_target target in
+  match List.find_opt has bp.bp_rules with
+  | Some _ as found -> found
+  | None -> List.find_opt has bp.bp_temps
+
+(* Plans are built from the very formulas they are checked against, so
+   the physical test decides the common case without walking the body. *)
+let plan_matches rp ~vars body =
+  (rp.rp_vars == vars || rp.rp_vars = vars)
+  && (rp.rp_body == body || Formula.equal rp.rp_body body)
 
 (* --- cutoff --------------------------------------------------------------- *)
 
@@ -807,28 +825,47 @@ let frontier_state (s : state) ?batch st ~env ~base : frontier =
             with Over_budget -> `Full
           end)
 
-let with_state st ?(env = []) ?batch (plan : rule_plan) f =
+(* Under [memo_lock]: the rule's state, its tester bound to [st]/[env]
+   before anything else touches it — the delta path surfaces the same
+   compile-time errors (unknown relations, arity mismatches, unbound
+   variables) as a full evaluation, even when the frontier turns out to
+   be empty. *)
+let with_frontier st ~env ?batch (plan : rule_plan) f =
   Mutex.protect memo_lock (fun () ->
-      (* bind the body's tester before touching guards or the mask: the
-         delta path must surface the same compile-time errors (unknown
-         relations, arity mismatches, unbound variables) as a full
-         evaluation, even when the frontier turns out to be empty *)
       let s = find_state st ~env plan in
       let base = Structure.rel st plan.rp_target in
-      f ~test:(Eval.test_compiled s.s_tester) ~base
-        (frontier_state s ?batch st ~env ~base))
+      f s ~base (frontier_state s ?batch st ~env ~base))
+
+let with_state st ?(env = []) ?batch (plan : rule_plan) f =
+  with_frontier st ~env ?batch plan (fun s ~base fr ->
+      f ~test:(Eval.test_compiled s.s_tester) ~base fr)
 
 let define ?(fallback = `Tuple) st ?(env = []) ?batch (plan : rule_plan) =
-  match plan.rp_frame with
-  | None -> full_define fallback st ~vars:plan.rp_vars ~env plan.rp_body
-  | Some _ ->
-      with_state st ~env ?batch plan (fun ~test ~base fr ->
+  let bulk () = Bulk_eval.define st ~vars:plan.rp_vars ~env plan.rp_body in
+  match (plan.rp_frame, fallback) with
+  | None, `Bulk -> bulk ()
+  | None, `Tuple ->
+      (* temporaries and unframed rules: nothing to be incremental
+         against, but the tester is still compiled only once *)
+      Mutex.protect memo_lock (fun () ->
+          Eval.define_compiled (find_state st ~env plan).s_tester)
+  | Some _, _ ->
+      with_frontier st ~env ?batch plan (fun s ~base fr ->
+          let test = Eval.test_compiled s.s_tester in
           match fr with
           | `Full ->
-              full_define fallback st ~vars:plan.rp_vars ~env plan.rp_body
+              if fallback = `Tuple then Eval.define_compiled s.s_tester
+              else bulk ()
           | `Tuples tups -> splice_tuples ~test ~base tups
           | `Mask mask -> splice ~test ~base mask
           | `Mask_words (mask, words) -> splice_words ~test ~base mask words)
+
+let holds ?(fallback = `Tuple) st ?(env = []) (plan : rule_plan) =
+  match fallback with
+  | `Bulk -> Bulk_eval.holds st ~env plan.rp_body
+  | `Tuple ->
+      Mutex.protect memo_lock (fun () ->
+          Eval.test_compiled (find_state st ~env plan).s_tester [||])
 
 let try_define st ?(env = []) ?batch (plan : rule_plan) =
   match plan.rp_frame with

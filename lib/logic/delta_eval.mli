@@ -99,26 +99,43 @@ type rule_plan = {
   rp_frame : frame option;  (** [None]: always recompute in full *)
 }
 
-type block_plan = rule_plan list
+type block_plan = {
+  bp_temps : rule_plan list;
+      (** the block's temporaries, always unframed: a temporary has no
+          previous value to be incremental against *)
+  bp_rules : rule_plan list;
+}
 
 type program_plan = {
   pp_ins : (string * block_plan) list;
   pp_del : (string * block_plan) list;
   pp_set : (string * block_plan) list;
+  pp_query : rule_plan option;
+      (** the program query as an unframed 0-ary plan *)
+  pp_queries : (string * rule_plan) list;
+      (** named queries as unframed 0-ary plans (parameters arrive
+          through the environment) *)
   pp_fallback : [ `Tuple | `Bulk ];
       (** backend for full recomputes: unframed rules, temporaries,
           over-budget frontiers, queries *)
 }
 
 val conservative_plan : program_plan
-(** No block plans, fallback [`Tuple]: the delta backend degenerates to
-    tuple-at-a-time evaluation. The default until an analysis planner is
-    installed. *)
+(** No block or query plans, fallback [`Tuple]: the delta backend
+    degenerates to tuple-at-a-time evaluation. The default until an
+    analysis planner is installed. *)
 
 val block_for :
   program_plan -> [ `Ins | `Del | `Set ] -> string -> block_plan option
 
 val rule_plan_for : block_plan -> string -> rule_plan option
+(** The plan for a rule target, else for a temporary of that name. *)
+
+val plan_matches : rule_plan -> vars:string list -> Formula.t -> bool
+(** Is the plan one for this (vars, body)? Tested physically first, so
+    validating a plan against the formula it was built from does not
+    walk the body. A stale plan for a same-named variant of a program
+    fails the test, and callers then evaluate without it. *)
 
 (** {1 Cutoff} *)
 
@@ -284,11 +301,12 @@ val splice_words :
 val memo_hits : unit -> int
 
 val memo_misses : unit -> int
-(** The state cache compiles each framed rule's body tester once per
-    (plan, universe size) and {e rebinds} it to the step's structure
-    thereafter ({!Eval.compile_tester}/{!Eval.rebind}) — compilation is
-    amortised across the steps of a run and the requests of a batch.
-    These counters expose the cache behaviour for tests and benches. *)
+(** The state cache compiles each planned formula's tester — framed and
+    unframed rules, temporaries, queries — once per (plan, universe
+    size) and {e rebinds} it to the step's structure thereafter
+    ({!Eval.compile_tester}/{!Eval.rebind}): compilation is amortised
+    across the steps of a run and the requests of a batch. These
+    counters expose the cache behaviour for tests and benches. *)
 
 val full_define :
   [ `Tuple | `Bulk ] ->
@@ -297,7 +315,8 @@ val full_define :
   env:(string * int) list ->
   Formula.t ->
   Relation.t
-(** The fallback: {!Eval.define} or {!Bulk_eval.define}. *)
+(** A full recompute with no plan (and so no cached tester):
+    {!Eval.define} or {!Bulk_eval.define}. *)
 
 val define :
   ?fallback:[ `Tuple | `Bulk ] ->
@@ -310,9 +329,22 @@ val define :
     recompute otherwise. Equal to
     [full_define fallback st ~vars:rp_vars ~env rp_body] by the frame
     identity — the lockstep tests assert exactly that, structure-wide.
-    Compile-time errors of the body (unknown relation, arity, unbound
-    variable) are raised exactly as a full evaluation would raise them,
-    even when the frontier is empty. *)
+    On the [`Tuple] fallback every full recompute — unframed plans
+    (temporaries included) and over-budget frontiers — enumerates
+    through the plan's cached, rebound tester ({!Eval.define_compiled}),
+    so a warm step compiles nothing. Compile-time errors of the body
+    (unknown relation, arity, unbound variable) are raised exactly as a
+    full evaluation would raise them, even when the frontier is empty. *)
+
+val holds :
+  ?fallback:[ `Tuple | `Bulk ] ->
+  Structure.t ->
+  ?env:(string * int) list ->
+  rule_plan ->
+  bool
+(** A query: truth of the 0-ary plan's body under [env], through its
+    cached, rebound tester on the [`Tuple] fallback ({!Bulk_eval.holds}
+    on [`Bulk]). Equal to {!Eval.holds}, errors included. *)
 
 val try_define :
   Structure.t ->

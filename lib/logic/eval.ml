@@ -36,6 +36,13 @@ let add_work k =
   let c = my_counter () in
   c := !c + k
 
+(* Process-wide count of formula compilations (every [holds], [define],
+   [tester] and [compile_tester] compiles once) — how the tests and the
+   daemon's [stats] see that a warm delta tick reuses its rebound
+   testers instead of compiling. *)
+let compiles_c = Atomic.make 0
+let compiles () = Atomic.get compiles_c
+
 (* Symbol resolution for the compiler. Resolving through ref cells (one
    per atom occurrence) costs one extra load per test but lets
    {!compile_tester} repoint a compiled closure at a later step's
@@ -44,7 +51,8 @@ let add_work k =
    fixed for the life of a run. *)
 type bound = {
   b_size : int;
-  b_rel : string -> Relation.t ref;  (* raises [Unknown_relation] *)
+  b_rel : string -> int -> Relation.t ref;
+      (* name, argument count; raises [Unknown_relation] / [Arity_error] *)
   b_const : string -> int ref;  (* raises [Unbound_variable] *)
 }
 
@@ -54,25 +62,35 @@ let unknown_relation st name =
     (Printf.sprintf "unknown relation symbol %S in vocabulary %s" name
        (Vocab.to_string (Structure.vocab st)))
 
+(* [st]'s relation [name], checked against an atom's argument count *)
+let resolve_rel st name argc =
+  match Structure.rel st name with
+  | r ->
+      if Relation.arity r <> argc then
+        raise
+          (Arity_error
+             (Printf.sprintf "%s expects %d arguments, got %d" name
+                (Relation.arity r) argc));
+      r
+  | exception Invalid_argument _ -> raise (unknown_relation st name)
+
+let resolve_const st x =
+  match Structure.const st x with
+  | c -> c
+  | exception Invalid_argument _ -> raise (Unbound_variable x)
+
 let bound_of_structure st =
   {
     b_size = Structure.size st;
-    b_rel =
-      (fun name ->
-        match Structure.rel st name with
-        | r -> ref r
-        | exception Invalid_argument _ -> raise (unknown_relation st name));
-    b_const =
-      (fun x ->
-        match Structure.const st x with
-        | c -> ref c
-        | exception Invalid_argument _ -> raise (Unbound_variable x));
+    b_rel = (fun name argc -> ref (resolve_rel st name argc));
+    b_const = (fun x -> ref (resolve_const st x));
   }
 
 (* Compile [f] to a closure over a slot array. [env] maps bound variable
    names to slots; [next] is the next free slot. Compilation resolves
    relation symbols through [b] once. *)
 let compile_bound b env next f =
+  Atomic.incr compiles_c;
   let n = b.b_size in
   let work_counter = my_counter () in
   let term env (t : Formula.term) : int array -> int =
@@ -92,13 +110,8 @@ let compile_bound b env next f =
     | True -> fun _ -> true
     | False -> fun _ -> false
     | Rel (name, ts) ->
-        let rref = b.b_rel name in
-        let arity = Relation.arity !rref in
-        if List.length ts <> arity then
-          raise
-            (Arity_error
-               (Printf.sprintf "%s expects %d arguments, got %d" name arity
-                  (List.length ts)));
+        let arity = List.length ts in
+        let rref = b.b_rel name arity in
         let getters = Array.of_list (List.map (term env) ts) in
         let buf = Array.make arity 0 in
         fun a ->
@@ -191,54 +204,35 @@ let compile_bound b env next f =
   in
   go env f
 
-let compile st env next f = compile_bound (bound_of_structure st) env next f
-
-let prepare st env f =
+(* Compile [f] with the tuple variables [vars] in slots [0, k) and the
+   environment after them; returns the closure, its slot array (the
+   environment values already loaded) and the environment's slots. *)
+let compile_slots b ~vars env f =
   let next = ref 0 in
-  let slots =
-    List.map
-      (fun (x, _) ->
-        let s = !next in
-        incr next;
-        (x, s))
-      env
+  let slot x =
+    let s = !next in
+    incr next;
+    (x, s)
   in
-  let fn = compile st slots next f in
-  let a = Array.make (max 1 !next) 0 in
-  List.iter2 (fun (_, s) (_, v) -> a.(s) <- v) slots env;
-  (a, fn)
-
-let holds st ?(env = []) f =
-  let a, fn = prepare st env f in
-  fn a
-
-let define st ~vars ?(env = []) f =
-  let n = Structure.size st in
-  let arity = List.length vars in
-  let next = ref 0 in
-  let var_slots =
-    List.map
-      (fun x ->
-        let s = !next in
-        incr next;
-        (x, s))
-      vars
-  in
-  let env_slots =
-    List.map
-      (fun (x, _) ->
-        let s = !next in
-        incr next;
-        (x, s))
-      env
-  in
-  let fn = compile st (var_slots @ env_slots) next f in
+  let var_slots = List.map slot vars in
+  let env_slots = List.map (fun (x, _) -> slot x) env in
+  let fn = compile_bound b (var_slots @ env_slots) next f in
   let a = Array.make (max 1 !next) 0 in
   List.iter2 (fun (_, s) (_, v) -> a.(s) <- v) env_slots env;
-  (* accepted tuples are collected and turned into a relation once at
-     the end — one set build instead of a persistent-set rebuild per
-     tuple — and each hit is a single [Array.sub] blit of the variable
-     prefix of the slot array rather than an [Array.init] closure. *)
+  (fn, a, env_slots)
+
+let holds st ?(env = []) f =
+  let fn, a, _ = compile_slots (bound_of_structure st) ~vars:[] env f in
+  fn a
+
+(* The one enumeration loop behind {!define} and {!define_compiled}:
+   every tuple of the [n^arity] space is written into slots [0, arity)
+   of [a] and tested. Accepted tuples are collected and turned into a
+   relation once at the end — one set build instead of a persistent-set
+   rebuild per tuple — and each hit is a single [Array.sub] blit of the
+   variable prefix of the slot array rather than an [Array.init]
+   closure. *)
+let enumerate ~n ~arity a fn =
   let hits = ref [] in
   let rec enum i =
     if i = arity then begin
@@ -253,28 +247,13 @@ let define st ~vars ?(env = []) f =
   enum 0;
   Relation.of_list ~arity !hits
 
+let define st ~vars ?(env = []) f =
+  let fn, a, _ = compile_slots (bound_of_structure st) ~vars env f in
+  enumerate ~n:(Structure.size st) ~arity:(List.length vars) a fn
+
 let tester st ~vars ?(env = []) f =
   let arity = List.length vars in
-  let next = ref 0 in
-  let var_slots =
-    List.map
-      (fun x ->
-        let s = !next in
-        incr next;
-        (x, s))
-      vars
-  in
-  let env_slots =
-    List.map
-      (fun (x, _) ->
-        let s = !next in
-        incr next;
-        (x, s))
-      env
-  in
-  let fn = compile st (var_slots @ env_slots) next f in
-  let a = Array.make (max 1 !next) 0 in
-  List.iter2 (fun (_, s) (_, v) -> a.(s) <- v) env_slots env;
+  let fn, a, _ = compile_slots (bound_of_structure st) ~vars env f in
   fun tup ->
     if Array.length tup <> arity then
       invalid_arg "Eval.tester: tuple arity mismatch";
@@ -283,12 +262,19 @@ let tester st ~vars ?(env = []) f =
 
 (* --- rebindable testers --------------------------------------------------- *)
 
+(* A symbol the compiled closure reads through a ref cell. Kept in
+   order of first occurrence in the formula: a fresh compilation raises
+   at the first occurrence of the first symbol that fails to resolve, so
+   {!rebind} checking them in this order raises the same error. *)
+type sym =
+  | Sym_rel of string * int * Relation.t ref  (* name, argument count *)
+  | Sym_const of string * int ref
+
 type compiled = {
   c_size : int;
   c_arity : int;
   c_env_names : string list;  (* order-sensitive: slots follow the vars *)
-  c_rels : (string, Relation.t ref) Hashtbl.t;
-  c_consts : (string, int ref) Hashtbl.t;
+  c_syms : sym array;
   c_env_slots : int array;
   c_arr : int array;
   c_fn : int array -> bool;
@@ -297,79 +283,62 @@ type compiled = {
 let compile_tester st ~vars ?(env = []) f =
   let rels = Hashtbl.create 8 in
   let consts = Hashtbl.create 4 in
-  let b0 = bound_of_structure st in
+  let syms = ref [] in
   (* intern: one shared ref per symbol, so a rebind repoints every
      occurrence at once *)
   let b =
     {
-      b0 with
+      b_size = Structure.size st;
       b_rel =
-        (fun name ->
+        (fun name argc ->
           match Hashtbl.find_opt rels name with
-          | Some r -> r
+          | Some r ->
+              (* same check a fresh compile makes at every occurrence *)
+              ignore (resolve_rel st name argc);
+              r
           | None ->
-              let r = b0.b_rel name in
+              let r = ref (resolve_rel st name argc) in
               Hashtbl.add rels name r;
+              syms := Sym_rel (name, argc, r) :: !syms;
               r);
       b_const =
         (fun x ->
           match Hashtbl.find_opt consts x with
           | Some r -> r
           | None ->
-              let r = b0.b_const x in
+              let r = ref (resolve_const st x) in
               Hashtbl.add consts x r;
+              syms := Sym_const (x, r) :: !syms;
               r);
     }
   in
-  let arity = List.length vars in
-  let next = ref 0 in
-  let var_slots =
-    List.map
-      (fun x ->
-        let s = !next in
-        incr next;
-        (x, s))
-      vars
-  in
-  let env_slots =
-    List.map
-      (fun (x, _) ->
-        let s = !next in
-        incr next;
-        (x, s))
-      env
-  in
-  let fn = compile_bound b (var_slots @ env_slots) next f in
-  let a = Array.make (max 1 !next) 0 in
-  List.iter2 (fun (_, s) (_, v) -> a.(s) <- v) env_slots env;
+  let fn, a, env_slots = compile_slots b ~vars env f in
   {
     c_size = b.b_size;
-    c_arity = arity;
+    c_arity = List.length vars;
     c_env_names = List.map fst env;
-    c_rels = rels;
-    c_consts = consts;
+    c_syms = Array.of_list (List.rev !syms);
     c_env_slots = Array.of_list (List.map snd env_slots);
     c_arr = a;
     c_fn = fn;
   }
 
+let rec same_names env names =
+  match (env, names) with
+  | [], [] -> true
+  | (x, _) :: env, y :: names -> String.equal x y && same_names env names
+  | _ -> false
+
 let rebind c st ~env =
   if Structure.size st <> c.c_size then
     invalid_arg "Eval.rebind: universe size differs from compile time";
-  if List.map fst env <> c.c_env_names then
+  if not (same_names env c.c_env_names) then
     invalid_arg "Eval.rebind: environment names differ from compile time";
-  Hashtbl.iter
-    (fun name rref ->
-      match Structure.rel st name with
-      | r -> rref := r
-      | exception Invalid_argument _ -> raise (unknown_relation st name))
-    c.c_rels;
-  Hashtbl.iter
-    (fun x cref ->
-      match Structure.const st x with
-      | v -> cref := v
-      | exception Invalid_argument _ -> raise (Unbound_variable x))
-    c.c_consts;
+  Array.iter
+    (function
+      | Sym_rel (name, argc, r) -> r := resolve_rel st name argc
+      | Sym_const (x, r) -> r := resolve_const st x)
+    c.c_syms;
   List.iteri (fun i (_, v) -> c.c_arr.(c.c_env_slots.(i)) <- v) env
 
 let test_compiled c tup =
@@ -377,3 +346,5 @@ let test_compiled c tup =
     invalid_arg "Eval.test_compiled: tuple arity mismatch";
   Array.blit tup 0 c.c_arr 0 c.c_arity;
   c.c_fn c.c_arr
+
+let define_compiled c = enumerate ~n:c.c_size ~arity:c.c_arity c.c_arr c.c_fn

@@ -97,13 +97,24 @@ val rebind : compiled -> Structure.t -> env:(string * int) list -> unit
 (** Repoint every relation and constant symbol at [st] and reload the
     environment values. Raises [Invalid_argument] when [st]'s size or
     the environment's names (order-sensitive) differ from compile time,
-    and {!Unknown_relation} / {!Unbound_variable} when a symbol the
-    formula uses is missing from [st] — the same error a fresh
-    compilation against [st] would raise. *)
+    and {!Unknown_relation} / {!Arity_error} / {!Unbound_variable} when
+    a symbol the formula uses is missing from [st] or has another arity
+    there — the same error, with the same message, that a fresh
+    compilation against [st] would raise first (symbols are checked in
+    order of first occurrence in the formula). *)
 
 val test_compiled : compiled -> Tuple.t -> bool
 (** Membership test under the latest {!rebind}. Raises
     [Invalid_argument] on tuple arity mismatch. *)
+
+val define_compiled : compiled -> Relation.t
+(** {!define} through a compiled tester under its latest {!rebind}: the
+    same enumeration loop, the same work, no compilation. *)
+
+val compiles : unit -> int
+(** Process-lifetime count of formula compilations: one per {!holds},
+    {!define}, {!tester} and {!compile_tester} call. A warm delta step
+    that reuses its rebound testers adds none. *)
 
 val work : unit -> int
 (** Atomic evaluations performed since the last {!reset_work}, summed

@@ -118,6 +118,7 @@ type stats = {
   delta_mask_reuse_hits : int;
   delta_words_cleared : int;
   delta_small_frontier_hits : int;
+  compiles : int;
 }
 
 let stats t ~session =
@@ -141,6 +142,7 @@ let stats t ~session =
     delta_mask_reuse_hits = opt "delta_mask_reuse_hits";
     delta_words_cleared = opt "delta_words_cleared";
     delta_small_frontier_hits = opt "delta_small_frontier_hits";
+    compiles = opt "compiles";
   }
 
 let list_sessions t =

@@ -93,6 +93,7 @@ type stats = {
   delta_mask_reuse_hits : int;  (** persistent masks refilled in place *)
   delta_words_cleared : int;  (** dirty words zeroed by those refills *)
   delta_small_frontier_hits : int;  (** mask-free explicit-code frontiers *)
+  compiles : int;  (** process-wide {!Dynfo_logic.Eval.compiles} *)
 }
 
 val stats : t -> session:string -> stats

@@ -2,7 +2,7 @@
    (Wire) and the bench/CI tooling that reads it. No dependency — the
    build image has no JSON library, and the protocol needs only objects,
    arrays, strings, ints, floats, bools and null. The parser is a plain
-   recursive descent over the string; printing always escapes control
+   recursive descent over the string by index; printing always escapes control
    characters, so [to_string] output never contains a raw newline — a
    printed value is always a valid single wire line. *)
 
@@ -78,24 +78,27 @@ let to_string v =
 
 exception Bad of string * int
 
+(* A recursive descent by index: [pos] is the next unread byte, and the
+   end of input is a bounds test — no option per character read. Error
+   messages carry the offset where the descent stopped. *)
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  let at_end () = !pos >= n in
+  (* the next byte; only called when not [at_end] *)
+  let cur () = String.unsafe_get s !pos in
+  let next_is c = !pos < n && String.unsafe_get s !pos = c in
   let advance () = incr pos in
   let fail msg = raise (Bad (msg, !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
+  let skip_ws () =
+    while
+      !pos < n
+      && match cur () with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    do
+      advance ()
+    done
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
+  let expect c = if next_is c then advance () else fail (Printf.sprintf "expected %c" c) in
   let literal word v =
     String.iter (fun c -> expect c) word;
     v
@@ -104,11 +107,13 @@ let parse s =
     let v = ref 0 in
     for _ = 1 to 4 do
       let d =
-        match peek () with
-        | Some c when c >= '0' && c <= '9' -> Char.code c - Char.code '0'
-        | Some c when c >= 'a' && c <= 'f' -> Char.code c - Char.code 'a' + 10
-        | Some c when c >= 'A' && c <= 'F' -> Char.code c - Char.code 'A' + 10
-        | _ -> fail "expected hex digit"
+        if at_end () then fail "expected hex digit"
+        else
+          match cur () with
+          | '0' .. '9' as c -> Char.code c - Char.code '0'
+          | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+          | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+          | _ -> fail "expected hex digit"
       in
       advance ();
       v := (!v * 16) + d
@@ -133,108 +138,103 @@ let parse s =
   in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' ->
-              advance ();
-              Buffer.add_char buf '"';
-              go ()
-          | Some '\\' ->
-              advance ();
-              Buffer.add_char buf '\\';
-              go ()
-          | Some '/' ->
-              advance ();
-              Buffer.add_char buf '/';
-              go ()
-          | Some 'n' ->
-              advance ();
-              Buffer.add_char buf '\n';
-              go ()
-          | Some 'r' ->
-              advance ();
-              Buffer.add_char buf '\r';
-              go ()
-          | Some 't' ->
-              advance ();
-              Buffer.add_char buf '\t';
-              go ()
-          | Some 'b' ->
-              advance ();
-              Buffer.add_char buf '\b';
-              go ()
-          | Some 'f' ->
-              advance ();
-              Buffer.add_char buf '\012';
-              go ()
-          | Some 'u' ->
-              advance ();
-              let cp = hex4 () in
-              let cp =
-                if cp >= 0xd800 && cp <= 0xdbff then (
-                  (* high surrogate: the low half must follow *)
-                  expect '\\';
-                  expect 'u';
-                  let lo = hex4 () in
-                  if lo < 0xdc00 || lo > 0xdfff then
-                    fail "invalid low surrogate"
-                  else
-                    0x10000 + ((cp - 0xd800) lsl 10) + (lo - 0xdc00))
-                else if cp >= 0xdc00 && cp <= 0xdfff then
-                  fail "stray low surrogate"
-                else cp
-              in
-              add_utf8 buf cp;
-              go ()
-          | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "raw control char in string"
-      | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
+    (* the run of plain bytes from [!pos]: no quote, backslash or
+       control character *)
+    let plain_run () =
+      let start = !pos in
+      while
+        !pos < n
+        &&
+        let c = cur () in
+        c <> '"' && c <> '\\' && Char.code c >= 0x20
+      do
+        advance ()
+      done;
+      start
     in
-    go ();
-    Buffer.contents buf
+    let start = plain_run () in
+    if next_is '"' then begin
+      (* no escapes: one substring, no buffer *)
+      advance ();
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (max 16 (2 * (!pos - start))) in
+      Buffer.add_substring buf s start (!pos - start);
+      let escape c =
+        advance ();
+        Buffer.add_char buf c
+      in
+      let rec go () =
+        if at_end () then fail "unterminated string"
+        else
+          match cur () with
+          | '"' -> advance ()
+          | '\\' ->
+              advance ();
+              (if at_end () then fail "bad escape"
+               else
+                 match cur () with
+                 | '"' -> escape '"'
+                 | '\\' -> escape '\\'
+                 | '/' -> escape '/'
+                 | 'n' -> escape '\n'
+                 | 'r' -> escape '\r'
+                 | 't' -> escape '\t'
+                 | 'b' -> escape '\b'
+                 | 'f' -> escape '\012'
+                 | 'u' ->
+                     advance ();
+                     let cp = hex4 () in
+                     let cp =
+                       if cp >= 0xd800 && cp <= 0xdbff then (
+                         (* high surrogate: the low half must follow *)
+                         expect '\\';
+                         expect 'u';
+                         let lo = hex4 () in
+                         if lo < 0xdc00 || lo > 0xdfff then
+                           fail "invalid low surrogate"
+                         else 0x10000 + ((cp - 0xd800) lsl 10) + (lo - 0xdc00))
+                       else if cp >= 0xdc00 && cp <= 0xdfff then
+                         fail "stray low surrogate"
+                       else cp
+                     in
+                     add_utf8 buf cp
+                 | _ -> fail "bad escape");
+              go ()
+          | c when Char.code c < 0x20 -> fail "raw control char in string"
+          | _ ->
+              let start = plain_run () in
+              Buffer.add_substring buf s start (!pos - start);
+              go ()
+      in
+      go ();
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in
     let is_float = ref false in
-    if peek () = Some '-' then advance ();
+    if next_is '-' then advance ();
     let digits () =
-      let had = ref false in
-      let rec go () =
-        match peek () with
-        | Some c when c >= '0' && c <= '9' ->
-            had := true;
-            advance ();
-            go ()
-        | _ -> ()
-      in
-      go ();
-      if not !had then fail "expected digit"
+      let from = !pos in
+      while !pos < n && match cur () with '0' .. '9' -> true | _ -> false do
+        advance ()
+      done;
+      if !pos = from then fail "expected digit"
     in
     digits ();
-    (match peek () with
-    | Some '.' ->
-        is_float := true;
-        advance ();
-        digits ()
-    | _ -> ());
-    (match peek () with
-    | Some ('e' | 'E') ->
-        is_float := true;
-        advance ();
-        (match peek () with
-        | Some ('+' | '-') -> advance ()
-        | _ -> ());
-        digits ()
-    | _ -> ());
+    if next_is '.' then begin
+      is_float := true;
+      advance ();
+      digits ()
+    end;
+    if next_is 'e' || next_is 'E' then begin
+      is_float := true;
+      advance ();
+      if next_is '+' || next_is '-' then advance ();
+      digits ()
+    end;
     let text = String.sub s start (!pos - start) in
     if !is_float then Float (float_of_string text)
     else
@@ -244,62 +244,61 @@ let parse s =
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> Str (parse_string ())
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (
+    if at_end () then fail "unexpected end of input"
+    else
+      match cur () with
+      | 'n' -> literal "null" Null
+      | 't' -> literal "true" (Bool true)
+      | 'f' -> literal "false" (Bool false)
+      | '"' -> Str (parse_string ())
+      | '[' ->
           advance ();
-          List [])
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
+          skip_ws ();
+          if next_is ']' then (
+            advance ();
+            List [])
+          else
+            let rec items acc =
+              let v = parse_value () in
+              skip_ws ();
+              if next_is ',' then (
                 advance ();
-                items (v :: acc)
-            | Some ']' ->
+                items (v :: acc))
+              else if next_is ']' then (
                 advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ]"
-          in
-          List (items [])
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (
+                List.rev (v :: acc))
+              else fail "expected , or ]"
+            in
+            List (items [])
+      | '{' ->
           advance ();
-          Obj [])
-        else
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            (k, v)
-          in
-          let rec fields acc =
-            let kv = field () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
+          skip_ws ();
+          if next_is '}' then (
+            advance ();
+            Obj [])
+          else
+            let field () =
+              skip_ws ();
+              let k = parse_string () in
+              skip_ws ();
+              expect ':';
+              let v = parse_value () in
+              (k, v)
+            in
+            let rec fields acc =
+              let kv = field () in
+              skip_ws ();
+              if next_is ',' then (
                 advance ();
-                fields (kv :: acc)
-            | Some '}' ->
+                fields (kv :: acc))
+              else if next_is '}' then (
                 advance ();
-                List.rev (kv :: acc)
-            | _ -> fail "expected , or }"
-          in
-          Obj (fields [])
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character %C" c)
+                List.rev (kv :: acc))
+              else fail "expected , or }"
+            in
+            Obj (fields [])
+      | '-' | '0' .. '9' -> parse_number ()
+      | c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   match
     let v = parse_value () in

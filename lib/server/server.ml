@@ -8,6 +8,10 @@ type config = {
   find_program : string -> Program.t option;
 }
 
+(* a live connection: its socket, and the thread serving it (set right
+   after the thread starts) *)
+type conn = { c_fd : Unix.file_descr; mutable c_thread : Thread.t option }
+
 type t = {
   config : config;
   sock : Unix.file_descr;
@@ -19,6 +23,8 @@ type t = {
   mutable pool : Dynfo_engine.Pool.t option;  (* lazily, on first par session *)
   mutable stopping : bool;
   mutable sock_closed : bool;
+  conns : (int, conn) Hashtbl.t;  (* live connections, by accept order *)
+  mutable next_conn : int;
 }
 
 (* --- lifecycle ------------------------------------------------------------- *)
@@ -49,6 +55,8 @@ let start config =
     pool = None;
     stopping = false;
     sock_closed = false;
+    conns = Hashtbl.create 16;
+    next_conn = 0;
   }
 
 let port t =
@@ -258,6 +266,9 @@ let dispatch t (cmd : Wire.cmd) : (string * Json.t) list =
           Json.Int (Dynfo_logic.Delta_eval.words_cleared ()) );
         ( "delta_small_frontier_hits",
           Json.Int (Dynfo_logic.Delta_eval.small_frontier_hits ()) );
+        (* process-wide formula compilations: flat across warm ticks
+           once every served formula has its cached tester *)
+        ("compiles", Json.Int (Dynfo_logic.Eval.compiles ()));
         (* process-wide paged-bitset counters: page-table residency and
            kernel skip effectiveness, plus muddle-through rebuilds *)
         ("pages_allocated", Json.Int (Dynfo_logic.Bitrel.pages_allocated ()));
@@ -284,7 +295,7 @@ let error_message = function
 
 (* --- connections ----------------------------------------------------------- *)
 
-let handle_conn t fd =
+let handle_conn t id fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let respond r =
@@ -312,9 +323,14 @@ let handle_conn t fd =
             loop ()))
   in
   (try loop () with Sys_error _ -> ());
+  (* deregister before closing: while the entry is in [t.conns] (and
+     [t.lock] held) the fd number is still this connection's *)
+  Mutex.protect t.lock (fun () -> Hashtbl.remove t.conns id);
   close_out_noerr oc
 
 (* --- accept loop ----------------------------------------------------------- *)
+
+let accept_backoff_s = 0.02
 
 let serve t =
   let stopping () = Mutex.protect t.lock (fun () -> t.stopping) in
@@ -323,19 +339,47 @@ let serve t =
     | fd, _ ->
         if stopping () then (try Unix.close fd with Unix.Unix_error _ -> ())
         else begin
-          ignore (Thread.create (fun () -> handle_conn t fd) ());
+          let c = { c_fd = fd; c_thread = None } in
+          let id =
+            Mutex.protect t.lock (fun () ->
+                let id = t.next_conn in
+                t.next_conn <- id + 1;
+                Hashtbl.replace t.conns id c;
+                id)
+          in
+          let th = Thread.create (fun () -> handle_conn t id fd) () in
+          Mutex.protect t.lock (fun () -> c.c_thread <- Some th);
           accept_loop ()
         end
-    | exception
-        Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
-      when stopping () ->
-        ()
+    | exception Unix.Unix_error _ when stopping () -> ()
     | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> accept_loop ()
+    | exception
+        Unix.Unix_error
+          ((Unix.EINTR | Unix.EMFILE | Unix.ENFILE | Unix.ENOBUFS | Unix.ENOMEM), _, _)
+      ->
+        (* transient: out of descriptors or buffers, or interrupted. The
+           pending connection stays in the backlog; retry once live
+           connections had a moment to finish and free theirs. *)
+        Thread.delay accept_backoff_s;
+        accept_loop ()
   in
   accept_loop ();
   Mutex.protect t.lock (fun () ->
       t.sock_closed <- true;
       try Unix.close t.sock with Unix.Unix_error _ -> ());
+  (* end every live connection and wait for its thread: shutting the
+     receive side makes its next read see end of input, while a reply
+     already being computed is still delivered *)
+  let live =
+    Mutex.protect t.lock (fun () ->
+        Hashtbl.fold
+          (fun _ c acc ->
+            (try Unix.shutdown c.c_fd Unix.SHUTDOWN_RECEIVE
+             with Unix.Unix_error _ -> ());
+            c :: acc)
+          t.conns [])
+  in
+  List.iter (fun c -> Option.iter Thread.join c.c_thread) live;
   (* orderly teardown: close every session (each drains its queue), then
      the pool's domains *)
   let sessions =

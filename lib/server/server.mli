@@ -42,9 +42,14 @@ val port : t -> int option
 
 val serve : t -> unit
 (** Accept connections until {!stop} (or a client's [shutdown] command)
-    wakes the accept loop, then tear down: close the listener, close
-    every session (each drains its queue first), shut the pool down,
-    unlink the socket path. Blocks; run it from the main thread. *)
+    wakes the accept loop, then tear down: close the listener, end every
+    live connection (its receive side is shut, so it sees end of input
+    once any reply in flight is sent) and join its thread, close every
+    session (each drains its queue first), shut the pool down, unlink
+    the socket path. Transient accept errors — [EINTR], and running out
+    of descriptors or buffers ([EMFILE], [ENFILE], [ENOBUFS], [ENOMEM])
+    — back off briefly and retry instead of ending the loop. Blocks;
+    run it from the main thread. *)
 
 val stop : t -> unit
 (** Initiate shutdown from another thread. Closing the listening socket

@@ -67,12 +67,16 @@ let test_known_verdicts () =
   let ins_e = op `Ins "E" 2 and del_e = op `Del "E" 2 in
   check tb "reach_u ins/ins conflicts" true
     (C.verdict mr ins_e ins_e = C.Conflict);
-  check tb "reach_u del/del commutes" true
-    (C.verdict mr del_e del_e = C.Commute);
+  (* two deletions of forest edges can pick different replacement
+     edges in the two orders: same connectivity, different forest F.
+     Only dense states show it (the complete graph on 4 vertices, which
+     the insert-only runs of the reachable domain build). *)
+  check tb "reach_u del/del conflicts" true
+    (C.verdict mr del_e del_e = C.Conflict);
   (match C.find_cell mr del_e del_e with
   | Some c ->
-      check tb "reach_u del/del holds on the reachable domain only" true
-        (c.C.c_domain = Some C.Reachable)
+      check tb "reach_u del/del refuted with a counterexample" true
+        (c.C.c_checks > 0 && c.C.c_domain = None)
   | None -> Alcotest.fail "reach_u del/del cell missing");
   (* set s / set t write distinct constants nothing else reads *)
   let set_s = op `Set "s" 1 and set_t = op `Set "t" 1 in

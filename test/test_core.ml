@@ -29,6 +29,210 @@ let test_request_roundtrip () =
     (fun r -> check tb (Request.to_string r) true (Request.parse (Request.to_string r) = r))
     [ Request.ins "E" [ 1; 2 ]; Request.del "M" [ 0 ]; Request.set "s" 3 ]
 
+(* The token-splitting request reader that [Request.parse]'s single-pass
+   scanner replaced, kept verbatim as the scanner's oracle: the scanner
+   must accept and reject exactly the same strings, with the same values
+   and the same error messages. *)
+module Oracle = struct
+  open Request
+
+  let malformed line =
+    failwith (Printf.sprintf "Request.parse: malformed %S" line)
+
+  let parse_tuple_list line s =
+    let s = String.trim s in
+    let n = String.length s in
+    let out = ref [] in
+    let i = ref 0 in
+    while !i < n do
+      while !i < n && s.[!i] = ' ' do incr i done;
+      if !i < n then begin
+        if s.[!i] <> '(' then malformed line;
+        let j =
+          try String.index_from s !i ')' with Not_found -> malformed line
+        in
+        let inner = String.sub s (!i + 1) (j - !i - 1) in
+        let comps =
+          if String.trim inner = "" then []
+          else
+            List.map
+              (fun c ->
+                match int_of_string_opt (String.trim c) with
+                | Some v -> v
+                | None -> malformed line)
+              (String.split_on_char ',' inner)
+        in
+        out := Array.of_list comps :: !out;
+        i := j + 1
+      end
+    done;
+    List.rev !out
+
+  let parse_def line kind rest =
+    match String.index_opt rest ':' with
+    | None -> malformed line
+    | Some c ->
+        let head = String.trim (String.sub rest 0 c) in
+        let body =
+          String.trim (String.sub rest (c + 1) (String.length rest - c - 1))
+        in
+        let name, vars_s =
+          match String.index_opt head '(' with
+          | None -> malformed line
+          | Some p ->
+              ( String.trim (String.sub head 0 p),
+                String.sub head p (String.length head - p) )
+        in
+        let vs = String.trim vars_s in
+        let len = String.length vs in
+        if name = "" || len < 2 || vs.[0] <> '(' || vs.[len - 1] <> ')' then
+          malformed line;
+        let inner = String.trim (String.sub vs 1 (len - 2)) in
+        let vars =
+          if inner = "" then []
+          else List.map String.trim (String.split_on_char ',' inner)
+        in
+        let f =
+          try Parser.parse body with Parser.Parse_error _ -> malformed line
+        in
+        if kind = "insdef" then Ins_def (name, vars, f)
+        else Del_def (name, vars, f)
+
+  let parse line =
+    let fail () = malformed line in
+    let line = String.trim line in
+    match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+    | [ "set"; name; a ] -> (
+        match int_of_string_opt a with Some a -> Set (name, a) | None -> fail ())
+    | kind :: name :: rest
+      when (kind = "insdef" || kind = "deldef") && rest <> [] ->
+        parse_def line kind (name ^ " " ^ String.concat " " rest)
+    | kind :: name :: rest when kind = "ins*" || kind = "del*" ->
+        let tups = parse_tuple_list line (String.concat " " rest) in
+        if kind = "ins*" then Ins_set (name, tups) else Del_set (name, tups)
+    | kind :: name :: rest when (kind = "ins" || kind = "del") && rest <> []
+      -> (
+        let tup = String.trim (String.concat "" rest) in
+        let len = String.length tup in
+        if len < 2 || tup.[0] <> '(' || tup.[len - 1] <> ')' then fail ()
+        else
+          let inner = String.sub tup 1 (len - 2) in
+          let comps =
+            if String.trim inner = "" then []
+            else
+              List.map
+                (fun s ->
+                  match int_of_string_opt (String.trim s) with
+                  | Some i -> i
+                  | None -> fail ())
+                (String.split_on_char ',' inner)
+          in
+          match kind with "ins" -> ins name comps | _ -> del name comps)
+    | _ -> fail ()
+end
+
+(* random requests of the five tuple forms, with odd names and numbers *)
+let gen_tuple_request =
+  let open QCheck.Gen in
+  let name = oneofl [ "E"; "M"; "b"; "s"; "Up"; "x_1"; "ins"; "(1)"; "*" ] in
+  let num = oneof [ int_range 0 20; int_range (-5) 5; int; return max_int ] in
+  let tuple = map Array.of_list (list_size (int_range 0 3) num) in
+  oneof
+    [
+      map2 (fun n t -> Request.Ins (n, t)) name tuple;
+      map2 (fun n t -> Request.Del (n, t)) name tuple;
+      map2 (fun n a -> Request.Set (n, a)) name num;
+      map2 (fun n ts -> Request.Ins_set (n, ts)) name (list_size (int_range 0 4) tuple);
+      map2 (fun n ts -> Request.Del_set (n, ts)) name (list_size (int_range 0 4) tuple);
+    ]
+
+(* The [Format] printer the buffer printer replaced, kept as its oracle. *)
+let oracle_to_string r =
+  let pp_tuples ppf tups =
+    List.iter (fun t -> Format.fprintf ppf " %a" Tuple.pp t) tups
+  in
+  match r with
+  | Request.Ins (name, tup) -> Format.asprintf "ins %s %a" name Tuple.pp tup
+  | Request.Del (name, tup) -> Format.asprintf "del %s %a" name Tuple.pp tup
+  | Request.Set (name, a) -> Format.asprintf "set %s %d" name a
+  | Request.Ins_set (name, tups) -> Format.asprintf "ins* %s%a" name pp_tuples tups
+  | Request.Del_set (name, tups) -> Format.asprintf "del* %s%a" name pp_tuples tups
+  | Request.Ins_def _ | Request.Del_def _ -> assert false
+
+let request_to_string_law =
+  QCheck.Test.make ~name:"to_string == Format printer on the tuple forms"
+    ~count:2000
+    (QCheck.make ~print:oracle_to_string gen_tuple_request)
+    (fun r ->
+      Request.to_string r = oracle_to_string r
+      && Format.asprintf "%a" Request.pp r = oracle_to_string r)
+
+(* valid request texts — printed requests, re-spaced, plus def forms —
+   and random mutations of them: inserted, deleted and replaced
+   characters drawn from the grammar's own alphabet *)
+let gen_request_text =
+  let open QCheck.Gen in
+  let printed =
+    oneof
+      [
+        map Request.to_string gen_tuple_request;
+        oneofl
+          [
+            "insdef E (x, y) : x = y";
+            "deldef  E (x,y):E(x,y) & x != y";
+            "insdef b () : true";
+            "insdef E";
+            "ins  E ( 1 , 2 )";
+            "ins E (1 2, 3)";
+            "ins* E (1, 2)  (3,4)";
+            "ins* E";
+            "set s +4";
+            "set s 0x1f";
+            "del E (1_000)";
+            "\tins E (1,\t2)\n";
+          ];
+      ]
+  in
+  let alphabet =
+    oneofl [ ' '; ' '; '\t'; '('; ')'; ','; '-'; '+'; '0'; '7'; '*'; 'x'; ':'; 'i' ]
+  in
+  let mutate s =
+    let* k = int_range 0 3 in
+    let rec go s k =
+      if k = 0 then return s
+      else
+        let n = String.length s in
+        let* pos = int_range 0 n in
+        let* c = alphabet in
+        let* op = int_range 0 2 in
+        let s =
+          match op with
+          | 0 -> String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (n - pos)
+          | 1 when pos < n -> String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1)
+          | _ when pos < n ->
+              String.sub s 0 pos ^ String.make 1 c ^ String.sub s (pos + 1) (n - pos - 1)
+          | _ -> s
+        in
+        go s (k - 1)
+    in
+    go s k
+  in
+  printed >>= mutate
+
+let request_parse_law =
+  let outcome parse s =
+    match parse s with r -> Ok r | exception Failure msg -> Error msg
+  in
+  QCheck.Test.make ~name:"scanner parse == token-splitting oracle" ~count:5000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_request_text)
+    (fun s ->
+      let got = outcome Request.parse s and want = outcome Oracle.parse s in
+      if got <> want then
+        QCheck.Test.fail_reportf "scanner %s, oracle %s"
+          (match got with Ok r -> Request.to_string r | Error m -> m)
+          (match want with Ok r -> Request.to_string r | Error m -> m);
+      true)
+
 let test_request_valid () =
   let v = Vocab.make ~rels:[ ("E", 2) ] ~consts:[ "s" ] in
   check tb "ok" true (Request.valid v ~size:4 (Request.ins "E" [ 0; 3 ]));
@@ -279,6 +483,8 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_request_parse;
           Alcotest.test_case "roundtrip" `Quick test_request_roundtrip;
+          QCheck_alcotest.to_alcotest request_to_string_law;
+          QCheck_alcotest.to_alcotest request_parse_law;
           Alcotest.test_case "validity" `Quick test_request_valid;
         ] );
       ( "program",

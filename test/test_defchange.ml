@@ -195,28 +195,47 @@ let lift_batch rng (p : Program.t) ~size reqs =
       base @ [ def ]
   | _ -> base
 
+let batch_law (seed, length, name) =
+  let e = Registry.find name in
+  let size = 6 in
+  let rng = Random.State.make [| 0xDC; seed |] in
+  let reqs = e.Registry.workload rng ~size ~length in
+  let batch = lift_batch rng e.Registry.program ~size reqs in
+  let s0 = Runner.init e.Registry.program ~size in
+  let expanded = Request.expand_batch (Runner.structure s0) batch in
+  List.for_all
+    (fun backend ->
+      let a = Runner.run ~backend s0 expanded in
+      let b = Runner.step_batch ~backend s0 batch in
+      Structure.equal (Runner.structure a) (Runner.structure b)
+      && Runner.query ~backend a = Runner.query ~backend b)
+    backends
+
 let batch_qcheck =
   QCheck.Test.make
     ~name:
       "certified batch tick == singleton fold (answers and relations), \
        every backend, whole registry"
     ~count:60
-    QCheck.(triple (int_range 1 100_000) (int_range 1 30) (oneofl qprogs))
-    (fun (seed, length, name) ->
-      let e = Registry.find name in
-      let size = 6 in
-      let rng = Random.State.make [| 0xDC; seed |] in
-      let reqs = e.Registry.workload rng ~size ~length in
-      let batch = lift_batch rng e.Registry.program ~size reqs in
-      let s0 = Runner.init e.Registry.program ~size in
-      let expanded = Request.expand_batch (Runner.structure s0) batch in
-      List.for_all
-        (fun backend ->
-          let a = Runner.run ~backend s0 expanded in
-          let b = Runner.step_batch ~backend s0 batch in
-          Structure.equal (Runner.structure a) (Runner.structure b)
-          && Runner.query ~backend a = Runner.query ~backend b)
-        backends)
+    QCheck.(
+      make
+        ~print:(fun (seed, length, name) ->
+          Printf.sprintf "seed %d, length %d, %s" seed length name)
+        Gen.(triple (int_range 1 100_000) (int_range 1 30) (oneofl qprogs)))
+    batch_law
+
+(* A pad_reach_a batch whose Up sweeps were once absorbed on a verdict
+   the sampled reachable domain could not refute: skipping the update
+   block leaves the A iterate stale. *)
+let test_pad_reach_a_regression () =
+  check tb "pad_reach_a batch tick == singleton fold" true
+    (batch_law (35282, 28, "pad_reach_a"));
+  let m = D.matrix_of (find "pad_reach_a") in
+  List.iter
+    (fun kind ->
+      check tb "pad_reach_a Up never absorbs" true
+        (D.verdict m kind "Up" <> D.Absorb))
+    [ `Ins; `Del ]
 
 let par_batch_qcheck =
   QCheck.Test.make
@@ -460,6 +479,8 @@ let () =
       ( "laws",
         [
           QCheck_alcotest.to_alcotest batch_qcheck;
+          Alcotest.test_case "pad_reach_a Up regression batch" `Quick
+            test_pad_reach_a_regression;
           QCheck_alcotest.to_alcotest par_batch_qcheck;
         ] );
       ( "model",

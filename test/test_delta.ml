@@ -321,6 +321,93 @@ let test_unframed_plan_falls_back () =
            (Delta_eval.define ~fallback !st plan)))
     [ `Tuple; `Bulk ]
 
+(* --- compile once per (plan, size) ----------------------------------------- *)
+
+(* Every formula the delta path evaluates — framed rules, unframed rules,
+   temporaries, over-budget fallbacks and queries — keeps one compiled
+   tester per (plan, size), rebound per step: once a request kind has run
+   once, running it again compiles nothing. Matching's delete block is
+   the temporaries' showcase, parity's 0-ary [b] rule always falls back
+   ([⌊0.25 · 1⌋ = 0] budget). *)
+let test_warm_steps_compile_nothing () =
+  Dynfo_analysis.Advisor.install ();
+  List.iter
+    (fun (name, size) ->
+      let e = Registry.find name in
+      let reqs = e.workload (Random.State.make [| 4242 |]) ~size ~length:40 in
+      let pass s =
+        List.fold_left
+          (fun s r ->
+            let s = Runner.step ~backend:`Delta s r in
+            ignore (Runner.query ~backend:`Delta s);
+            s)
+          s reqs
+      in
+      let warm = pass (Runner.init e.program ~size) in
+      let before = Eval.compiles () in
+      ignore (pass warm);
+      check ti (name ^ ": compiles in a warm pass") 0 (Eval.compiles () - before);
+      if name = "matching" then
+        check tb "matching workload deletes" true
+          (List.exists (function Request.Del _ -> true | _ -> false) reqs))
+    [ ("matching", 8); ("parity", 64) ]
+
+(* A cached tester reused on a structure that lacks a symbol, or gives
+   it another arity, must fail exactly as a fresh compile against that
+   structure does — same exception, same message — both bare
+   ([Eval.rebind]) and through the delta backend's per-plan cache. *)
+let cached_tester_errors_match_fresh =
+  QCheck.Test.make ~name:"rebound tester raises what a fresh compile raises"
+    ~count:400
+    QCheck.(pair (int_range 2 4) (int_range 0 10000000))
+    (fun (size, seed) ->
+      let rng = Random.State.make [| seed; size; 23 |] in
+      let st1 = random_structure rng ~size in
+      let env = [ ("a", 0); ("b", size - 1) ] in
+      let rule = random_framed_rule rng ~size in
+      let vars = rule.vars and body = rule.body in
+      (* the same universe, with symbols dropped or re-aritied at random *)
+      let keep () = Random.State.int rng 3 > 0 in
+      let rels =
+        List.filter_map
+          (fun (r, k) ->
+            if keep () then Some (r, k)
+            else if Random.State.bool rng then None
+            else Some (r, 3 - k))
+          [ ("E", 2); ("U", 1); ("R", 2) ]
+      in
+      let consts = List.filter (fun _ -> keep ()) [ "s"; "t" ] in
+      let st2 = Structure.create ~size (Vocab.make ~rels ~consts) in
+      let outcome f =
+        match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
+      in
+      let same what got want =
+        match (got, want) with
+        | Ok r, Ok r' when Relation.equal r r' -> ()
+        | Error e, Error e' when e = e' -> ()
+        | _ ->
+            let show = function
+              | Ok r -> Printf.sprintf "%d tuples" (Relation.cardinal r)
+              | Error e -> e
+            in
+            QCheck.Test.fail_reportf "%s: %s, fresh compile: %s" what
+              (show got) (show want)
+      in
+      let fresh = outcome (fun () -> Eval.define st2 ~vars ~env body) in
+      let c = Eval.compile_tester st1 ~vars ~env body in
+      same "Eval.rebind"
+        (outcome (fun () ->
+             Eval.rebind c st2 ~env;
+             Eval.define_compiled c))
+        fresh;
+      let unframed = { (Dynfo_analysis.Support.plan_rule rule) with rp_frame = None } in
+      List.iter
+        (fun plan ->
+          ignore (Delta_eval.define st1 ~env plan);
+          same "Delta_eval.define" (outcome (fun () -> Delta_eval.define st2 ~env plan)) fresh)
+        [ Dynfo_analysis.Support.plan_rule rule; unframed ];
+      true)
+
 (* --- the registry in lockstep on all three backends ----------------------- *)
 
 let sweep_sizes (e : Registry.entry) =
@@ -753,6 +840,9 @@ let () =
             test_unframed_plan_falls_back;
           Alcotest.test_case "fast path and tester memo fire" `Quick
             test_fast_path_and_memo;
+          Alcotest.test_case "warm steps compile nothing" `Quick
+            test_warm_steps_compile_nothing;
+          QCheck_alcotest.to_alcotest cached_tester_errors_match_fresh;
         ] );
       ( "registry",
         [

@@ -62,6 +62,303 @@ let json_roundtrip =
           QCheck.Test.fail_reportf "failed to reparse %s: %s"
             (Json.to_string v) msg)
 
+(* The option-per-character parser that [Json.parse]'s by-index descent
+   replaced, kept verbatim as its oracle: same values, same error
+   offsets, same messages. *)
+module Json_oracle = struct
+  open Json
+
+  exception Bad of string * int
+
+  let parse s =
+    let n = String.length s in
+    let pos = ref 0 in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let fail msg = raise (Bad (msg, !pos)) in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+          advance ();
+          skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      match peek () with
+      | Some c' when c' = c -> advance ()
+      | _ -> fail (Printf.sprintf "expected %c" c)
+    in
+    let literal word v =
+      String.iter (fun c -> expect c) word;
+      v
+    in
+    let hex4 () =
+      let v = ref 0 in
+      for _ = 1 to 4 do
+        let d =
+          match peek () with
+          | Some c when c >= '0' && c <= '9' -> Char.code c - Char.code '0'
+          | Some c when c >= 'a' && c <= 'f' -> Char.code c - Char.code 'a' + 10
+          | Some c when c >= 'A' && c <= 'F' -> Char.code c - Char.code 'A' + 10
+          | _ -> fail "expected hex digit"
+        in
+        advance ();
+        v := (!v * 16) + d
+      done;
+      !v
+    in
+    let add_utf8 buf cp =
+      (* surrogate pairs are decoded by the caller; [cp] is a scalar value *)
+      if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
+      else if cp < 0x800 then (
+        Buffer.add_char buf (Char.chr (0xc0 lor (cp lsr 6)));
+        Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f))))
+      else if cp < 0x10000 then (
+        Buffer.add_char buf (Char.chr (0xe0 lor (cp lsr 12)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
+        Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f))))
+      else (
+        Buffer.add_char buf (Char.chr (0xf0 lor (cp lsr 18)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3f)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
+        Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f))))
+    in
+    let parse_string () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec go () =
+        match peek () with
+        | None -> fail "unterminated string"
+        | Some '"' -> advance ()
+        | Some '\\' -> (
+            advance ();
+            match peek () with
+            | Some '"' ->
+                advance ();
+                Buffer.add_char buf '"';
+                go ()
+            | Some '\\' ->
+                advance ();
+                Buffer.add_char buf '\\';
+                go ()
+            | Some '/' ->
+                advance ();
+                Buffer.add_char buf '/';
+                go ()
+            | Some 'n' ->
+                advance ();
+                Buffer.add_char buf '\n';
+                go ()
+            | Some 'r' ->
+                advance ();
+                Buffer.add_char buf '\r';
+                go ()
+            | Some 't' ->
+                advance ();
+                Buffer.add_char buf '\t';
+                go ()
+            | Some 'b' ->
+                advance ();
+                Buffer.add_char buf '\b';
+                go ()
+            | Some 'f' ->
+                advance ();
+                Buffer.add_char buf '\012';
+                go ()
+            | Some 'u' ->
+                advance ();
+                let cp = hex4 () in
+                let cp =
+                  if cp >= 0xd800 && cp <= 0xdbff then (
+                    (* high surrogate: the low half must follow *)
+                    expect '\\';
+                    expect 'u';
+                    let lo = hex4 () in
+                    if lo < 0xdc00 || lo > 0xdfff then
+                      fail "invalid low surrogate"
+                    else
+                      0x10000 + ((cp - 0xd800) lsl 10) + (lo - 0xdc00))
+                  else if cp >= 0xdc00 && cp <= 0xdfff then
+                    fail "stray low surrogate"
+                  else cp
+                in
+                add_utf8 buf cp;
+                go ()
+            | _ -> fail "bad escape")
+        | Some c when Char.code c < 0x20 -> fail "raw control char in string"
+        | Some c ->
+            advance ();
+            Buffer.add_char buf c;
+            go ()
+      in
+      go ();
+      Buffer.contents buf
+    in
+    let parse_number () =
+      let start = !pos in
+      let is_float = ref false in
+      if peek () = Some '-' then advance ();
+      let digits () =
+        let had = ref false in
+        let rec go () =
+          match peek () with
+          | Some c when c >= '0' && c <= '9' ->
+              had := true;
+              advance ();
+              go ()
+          | _ -> ()
+        in
+        go ();
+        if not !had then fail "expected digit"
+      in
+      digits ();
+      (match peek () with
+      | Some '.' ->
+          is_float := true;
+          advance ();
+          digits ()
+      | _ -> ());
+      (match peek () with
+      | Some ('e' | 'E') ->
+          is_float := true;
+          advance ();
+          (match peek () with
+          | Some ('+' | '-') -> advance ()
+          | _ -> ());
+          digits ()
+      | _ -> ());
+      let text = String.sub s start (!pos - start) in
+      if !is_float then Float (float_of_string text)
+      else
+        match int_of_string_opt text with
+        | Some i -> Int i
+        | None -> Float (float_of_string text)
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | None -> fail "unexpected end of input"
+      | Some 'n' -> literal "null" Null
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some '"' -> Str (parse_string ())
+      | Some '[' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some ']' then (
+            advance ();
+            List [])
+          else
+            let rec items acc =
+              let v = parse_value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  items (v :: acc)
+              | Some ']' ->
+                  advance ();
+                  List.rev (v :: acc)
+              | _ -> fail "expected , or ]"
+            in
+            List (items [])
+      | Some '{' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some '}' then (
+            advance ();
+            Obj [])
+          else
+            let field () =
+              skip_ws ();
+              let k = parse_string () in
+              skip_ws ();
+              expect ':';
+              let v = parse_value () in
+              (k, v)
+            in
+            let rec fields acc =
+              let kv = field () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  fields (kv :: acc)
+              | Some '}' ->
+                  advance ();
+                  List.rev (kv :: acc)
+              | _ -> fail "expected , or }"
+            in
+            Obj (fields [])
+      | Some ('-' | '0' .. '9') -> parse_number ()
+      | Some c -> fail (Printf.sprintf "unexpected character %C" c)
+    in
+    match
+      let v = parse_value () in
+      skip_ws ();
+      if !pos <> n then fail "trailing garbage";
+      v
+    with
+    | v -> Ok v
+    | exception Bad (msg, p) ->
+        Error (Printf.sprintf "JSON parse error at offset %d: %s" p msg)
+end
+
+(* printed values and random mutations of them, drawn from JSON's own
+   alphabet, so that most inputs stop somewhere mid-descent *)
+let json_text_gen =
+  let open QCheck.Gen in
+  let alphabet =
+    oneofl
+      [ ' '; '"'; '\\'; 'u'; 'd'; '8'; '0'; 'e'; '-'; '.'; ','; ':'; '['; ']';
+        '{'; '}'; 'n'; 't'; '\n'; '\001' ]
+  in
+  let mutate s =
+    let* k = int_range 0 3 in
+    let rec go s k =
+      if k = 0 then return s
+      else
+        let n = String.length s in
+        let* pos = int_range 0 n in
+        let* c = alphabet in
+        let* op = int_range 0 2 in
+        let s =
+          match op with
+          | 0 -> String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (n - pos)
+          | 1 when pos < n -> String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1)
+          | _ when pos < n ->
+              String.sub s 0 pos ^ String.make 1 c ^ String.sub s (pos + 1) (n - pos - 1)
+          | _ -> s
+        in
+        go s (k - 1)
+    in
+    go s k
+  in
+  oneof
+    [
+      map Json.to_string json_gen;
+      oneofl
+        [
+          "\"\\u00e9\\ud83d\\ude00\"";
+          "\"\\ud800\\u0041\"";
+          "\"a\\/b\\f\"";
+          "-12.5e+3";
+          "{\"op\":\"update\",\"reqs\":[\"ins E (1,2)\"]}";
+        ];
+    ]
+  >>= mutate
+
+let json_parse_law =
+  QCheck.Test.make ~name:"Json.parse == option-per-character oracle"
+    ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") json_text_gen)
+    (fun s ->
+      let got = Json.parse s and want = Json_oracle.parse s in
+      let show = function Ok v -> Json.to_string v | Error m -> m in
+      if got <> want then
+        QCheck.Test.fail_reportf "parse %s, oracle %s" (show got) (show want);
+      true)
+
 let test_json_cases () =
   let ok s v =
     match Json.parse s with
@@ -849,6 +1146,74 @@ let test_daemon_end_to_end () =
       check ti "two sessions after destroy" 2
         (List.length (Client.list_sessions client)))
 
+(* Every formula a served delta tick evaluates — rules, temporaries,
+   fallbacks, the query — has a cached tester: once a pass over the
+   workload has warmed them, the same pass again compiles nothing
+   (the daemon's process-wide [compiles] stat stays flat). Parity's
+   0-ary [b] rule falls back to a full recompute on every step. *)
+let test_daemon_warm_compiles () =
+  Dynfo_analysis.Advisor.install ();
+  with_server (fun client ->
+      let size = 64 in
+      let reqs =
+        (Registry.find "parity").workload (Random.State.make [| 7 |]) ~size
+          ~length:40
+      in
+      let session =
+        Client.create client ~backend:`Delta ~program:"parity" ~size ()
+      in
+      let pass () =
+        List.iter
+          (fun r ->
+            ignore (Client.update client ~session [ r ]);
+            ignore (Client.query client ~session []))
+          reqs
+      in
+      pass ();
+      let before = (Client.stats client ~session).Client.compiles in
+      check tb "compiles exported" true (before > 0);
+      pass ();
+      check ti "a warm served pass compiles nothing" before
+        (Client.stats client ~session).Client.compiles)
+
+(* [serve] returns only after every live connection has ended: an idle
+   client that never hangs up is shut out (its next read sees end of
+   input) and its thread joined, instead of being left running. *)
+let test_daemon_stop_ends_connections () =
+  let server_done = Atomic.make false in
+  let server_thread =
+    Thread.create
+      (fun () ->
+        ignore
+          (Server.run
+             {
+               Server.addr = `Unix (test_sock ());
+               lanes = Some 1;
+               find_program = (fun _ -> None);
+             });
+        Atomic.set server_done true)
+      ()
+  in
+  let stopper = connect 100 in
+  let idle = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect idle (Unix.ADDR_UNIX (test_sock ()));
+  let hello = Bytes.of_string "{\"id\":1,\"op\":\"hello\"}\n" in
+  ignore (Unix.write idle hello 0 (Bytes.length hello));
+  let buf = Bytes.create 256 in
+  check tb "the idle connection is served" true (Unix.read idle buf 0 256 > 0);
+  run_watched ~seconds:10.
+    [
+      (fun () ->
+        Client.shutdown stopper;
+        Client.close stopper;
+        Thread.join server_thread);
+    ];
+  check tb "serve returned" true (Atomic.get server_done);
+  let readable, _, _ = Unix.select [ idle ] [] [] 5. in
+  check tb "the idle connection was ended" true
+    (readable <> [] && Unix.read idle buf 0 256 = 0);
+  Unix.close idle
+
 let test_loadgen () =
   Dynfo_analysis.Advisor.install ();
   with_server (fun client ->
@@ -964,6 +1329,7 @@ let () =
       ( "json",
         [
           QCheck_alcotest.to_alcotest json_roundtrip;
+          QCheck_alcotest.to_alcotest json_parse_law;
           Alcotest.test_case "hand-picked cases" `Quick test_json_cases;
         ] );
       ("wire", [ Alcotest.test_case "round trips" `Quick test_wire_roundtrip ]);
@@ -1003,6 +1369,10 @@ let () =
         [
           Alcotest.test_case "end to end over a Unix socket" `Slow
             test_daemon_end_to_end;
+          Alcotest.test_case "warm served ticks compile nothing" `Quick
+            test_daemon_warm_compiles;
+          Alcotest.test_case "stop ends live connections" `Quick
+            test_daemon_stop_ends_connections;
           Alcotest.test_case "load generator" `Slow test_loadgen;
           Alcotest.test_case "fifo vs commute coalescing" `Slow
             test_daemon_coalesce_modes;
